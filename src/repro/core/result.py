@@ -230,7 +230,9 @@ class CheckStats:
     closure_rebuilds: int = 0
     #: Vc engine only: frontier-vector lookups — the O(k) interval
     #: probes behind R6/R7 candidate discovery plus the O(1)
-    #: reachability queries behind implied-edge suppression.
+    #: reachability queries behind implied-edge suppression, counted
+    #: for the R6/R7 items a fixed-point pass rescans (vc skips items
+    #: whose frontier has not moved since their last scan).
     vc_queries: int = 0
     #: Vc engine only: nodes visited by Pearce–Kelly local reordering —
     #: the affected-region cost of keeping the topological order (and

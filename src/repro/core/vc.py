@@ -32,17 +32,21 @@ things the per-pass engines pay for repeatedly:
   search finds its own source *is* the violation.
 * **Closure updates are deltas.**  Inserting ``u -> v`` pushes
   ``u``'s frontier entries through ``v``'s descendants (and ``v``'s
-  backward frontier through ``u``'s ancestors), stopping wherever
-  nothing improves.  The full closure is built exactly once, from the
-  initial static + observed edges — ``closure_rebuilds`` stays at 1
-  regardless of how many fixed-point passes run, where the per-pass
-  engines pay an O(E·n/w) rebuild each iteration.
+  backward frontier through ``u``'s ancestors), one entry per frame,
+  stopping wherever nothing improves.  The full closure is built once,
+  from the initial static + observed edges — ``closure_rebuilds`` stays
+  at 1 however many fixed-point passes run.
+* **Rescans follow moved frontiers.**  Each insertion stamps the rows
+  it improves; a fixed-point pass rescans an R6 item only if its load's
+  ``vec_to`` moved since the item's last scan (an R7 item: its store's
+  ``vec_from``).  A skipped item could only re-propose existing edges,
+  so the edges, their order and the iteration count are unchanged.
 
 Atomic-group redirection and the R5 ``S';L`` subtlety are inherited
 bit-for-bit: edges are stored in the same :class:`ConstraintGraph`
 (which performs the paper's redirection), and the R4/R5 edge stream is
 the shared :func:`repro.core.checker.observed_edges`.  Verdict
-agreement with the other three engines is enforced by
+agreement with the other engines is enforced by
 ``tests/test_properties.py``.
 """
 
@@ -50,12 +54,13 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro import telemetry
 from repro.core.checker import observed_edges, precheck_violation
 from repro.core.closure import topological_order
 from repro.core.graph import ConstraintGraph, CycleDetected
+from repro.core.kernels import build_frontiers_scalar
 from repro.core.policy import MemoryModel, TSO, static_edges
 from repro.core.prep import Chains, EnginePrep, prepare
 from repro.core.result import (
@@ -68,10 +73,7 @@ from repro.core.result import (
 from repro.core.context import CheckContext
 from repro.model.expansion import AnalysisProgram
 
-#: Back-compat alias: the chain decomposition moved to
-#: :class:`repro.core.prep.Chains` so the scalar and kernel engines
-#: share one construction (tests and downstream code keep importing it
-#: from here).
+#: Back-compat alias for :class:`repro.core.prep.Chains`.
 _Chains = Chains
 
 
@@ -168,43 +170,22 @@ class VectorClockChecker:
         member reaches ``v`` (-1: none), ``vec_from[v][c]`` the lowest
         position reachable from ``v`` (``inf_pos``: none); both include
         ``v`` itself, mirroring the closure engine's reach bitsets.
+        ``_moved_to``/``_moved_from`` stamp each row with the ``_seq``
+        of the last insertion that improved it.
         """
         n = graph.n
-        k = self._chains.k
-        chain_of = self._chains.chain_of
-        pos_of = self._chains.pos_of
-        self._inf = inf = n + 1
+        chains = self._chains
+        self._inf = n + 1
         self._ord = [0] * n
         for index, node in enumerate(order):
             self._ord[node] = index
-        vec_to: List[List[int]] = [None] * n  # type: ignore[list-item]
-        for node in order:
-            rows = [vec_to[parent] for parent in graph.pred[node]]
-            if not rows:
-                vec = [-1] * k
-            elif len(rows) == 1:
-                vec = list(rows[0])
-            else:
-                vec = list(map(max, *rows))
-            chain, pos = chain_of[node], pos_of[node]
-            if pos > vec[chain]:
-                vec[chain] = pos
-            vec_to[node] = vec
-        vec_from: List[List[int]] = [None] * n  # type: ignore[list-item]
-        for node in reversed(order):
-            rows = [vec_from[child] for child in graph.succ[node]]
-            if not rows:
-                vec = [inf] * k
-            elif len(rows) == 1:
-                vec = list(rows[0])
-            else:
-                vec = list(map(min, *rows))
-            chain, pos = chain_of[node], pos_of[node]
-            if pos < vec[chain]:
-                vec[chain] = pos
-            vec_from[node] = vec
-        self._vec_to = vec_to
-        self._vec_from = vec_from
+        self._vec_to, self._vec_from = build_frontiers_scalar(
+            n, chains.k, order, graph.pred, graph.succ,
+            chains.chain_of, chains.pos_of,
+        )
+        self._seq = 0
+        self._moved_to = [0] * n
+        self._moved_from = [0] * n
 
     # ------------------------------------------------------------------
     # Phase 2: the R6/R7 fixed point over live frontiers
@@ -225,11 +206,20 @@ class VectorClockChecker:
         chain_of = self._chains.chain_of
         pos_of = self._chains.pos_of
         vec_from = self._vec_from
+        moved_to = self._moved_to
+        moved_from = self._moved_from
         add_edge = self._add_edge
+        # The insertion stamp at which each R6/R7 item was last scanned
+        # (see "Rescans follow moved frontiers" in the module docstring).
+        r6_seen = [-1] * len(prep.loads)
+        r7_seen = [-1] * len(prep.stores)
         while True:
             stats.iterations += 1
             added = 0
-            for load, addr, target, target_first in prep.loads:
+            for i, (load, addr, target, target_first) in enumerate(prep.loads):
+                if moved_to[load] <= r6_seen[i]:
+                    continue  # vec_to[load] unchanged since the last scan
+                r6_seen[i] = self._seq
                 for s_prime in self._r6_candidates(addr, load, target,
                                                   target_first):
                     reason = EdgeReason(
@@ -240,7 +230,10 @@ class VectorClockChecker:
                     if add_edge(s_prime, target, reason):
                         added += 1
             queries = 0
-            for store, addr, observers in prep.stores:
+            for i, (store, addr, observers) in enumerate(prep.stores):
+                if moved_from[store] <= r7_seen[i]:
+                    continue  # vec_from[store] unchanged since the last scan
+                r7_seen[i] = self._seq
                 for s_prime in self._r7_candidates(addr, store):
                     s_prime_first = group_first[s_prime]
                     sp_chain = chain_of[s_prime_first]
@@ -330,11 +323,11 @@ class VectorClockChecker:
         if graph.has_edge(u, v):
             return False
         # Order-compatible edges (the overwhelming majority) skip the
-        # Pearce–Kelly call entirely; _reorder repeats this guard for
-        # callers that reach it directly.
+        # Pearce–Kelly call; _reorder repeats this guard for direct callers.
         if self._ord[u] >= self._ord[v]:
             self._reorder(u, v, reason)
         graph.add_redirected(u, v, reason)
+        self._seq += 1
         self._push_forward(u, v)
         self._push_backward(u, v)
         return True
@@ -386,47 +379,54 @@ class VectorClockChecker:
             ord_[node] = slot
 
     def _push_forward(self, u: int, v: int) -> None:
-        """Propagate ``u``'s backward frontier into ``v``'s descendants."""
+        """Propagate ``u``'s backward frontier into ``v``'s descendants.
+
+        One ``zip`` pass finds the entries that improve ``v``; each then
+        floods on its own as ``(children, chain, pos)`` frames, so a
+        child costs one integer compare.  Improved rows are stamped.
+        """
         vec_to = self._vec_to
+        moved = self._moved_to
+        seq = self._seq
         succ = self._graph.succ
-        entries = [
-            (chain, pos) for chain, pos in enumerate(vec_to[u]) if pos >= 0
-        ]
-        stack = [(v, entries)]
-        while stack:
-            node, candidate = stack.pop()
-            vec = vec_to[node]
-            improved = [
-                (chain, pos) for chain, pos in candidate if pos > vec[chain]
-            ]
-            if not improved:
-                continue
-            for chain, pos in improved:
+        vec = vec_to[v]
+        stack = []
+        for chain, (pos, have) in enumerate(zip(vec_to[u], vec)):
+            if pos > have:
                 vec[chain] = pos
-            for child in succ[node]:
-                stack.append((child, improved))
+                moved[v] = seq
+                stack.append((succ[v], chain, pos))
+        while stack:
+            children, chain, pos = stack.pop()
+            for child in children:
+                vec = vec_to[child]
+                if pos > vec[chain]:
+                    vec[chain] = pos
+                    moved[child] = seq
+                    stack.append((succ[child], chain, pos))
 
     def _push_backward(self, u: int, v: int) -> None:
-        """Propagate ``v``'s forward frontier into ``u``'s ancestors."""
+        """Propagate ``v``'s forward frontier into ``u``'s ancestors
+        (the mirror of :meth:`_push_forward`)."""
         vec_from = self._vec_from
+        moved = self._moved_from
+        seq = self._seq
         pred = self._graph.pred
-        inf = self._inf
-        entries = [
-            (chain, pos) for chain, pos in enumerate(vec_from[v]) if pos < inf
-        ]
-        stack = [(u, entries)]
-        while stack:
-            node, candidate = stack.pop()
-            vec = vec_from[node]
-            improved = [
-                (chain, pos) for chain, pos in candidate if pos < vec[chain]
-            ]
-            if not improved:
-                continue
-            for chain, pos in improved:
+        vec = vec_from[u]
+        stack = []
+        for chain, (pos, have) in enumerate(zip(vec_from[v], vec)):
+            if pos < have:
                 vec[chain] = pos
-            for parent in pred[node]:
-                stack.append((parent, improved))
+                moved[u] = seq
+                stack.append((pred[u], chain, pos))
+        while stack:
+            parents, chain, pos = stack.pop()
+            for parent in parents:
+                vec = vec_from[parent]
+                if pos < vec[chain]:
+                    vec[chain] = pos
+                    moved[parent] = seq
+                    stack.append((pred[parent], chain, pos))
 
     # ------------------------------------------------------------------
 
