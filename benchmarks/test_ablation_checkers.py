@@ -61,18 +61,6 @@ def test_ablation_closure_engine(benchmark, aprog):
     benchmark.extra_info.update(engine="closure", edges=result.stats.edges)
 
 
-def test_ablation_matrix_engine(benchmark, aprog):
-    """The numpy packed-bit-matrix formulation of the same closure."""
-    from repro.core.matrix import MatrixChecker
-
-    checker = MatrixChecker()
-    result = benchmark.pedantic(
-        lambda: checker.run(aprog), rounds=3, iterations=1, warmup_rounds=1
-    )
-    assert result.ok
-    benchmark.extra_info.update(engine="matrix", edges=result.stats.edges)
-
-
 def test_ablation_engines_agree_and_speedup(benchmark, aprog, record):
     """Same verdict; the closure engine should win by a wide margin."""
     baseline = BaselineChecker().run(aprog)

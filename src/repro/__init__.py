@@ -41,8 +41,6 @@ from repro.core import (
     ClosureChecker,
     CompleteResult,
     EdgeReason,
-    KernelVectorChecker,
-    MatrixChecker,
     MemoryModel,
     Violation,
     ViolationKind,
@@ -98,8 +96,6 @@ __all__ = [
     "Fault",
     "FaultReport",
     "CPU_CONFIGS",
-    "MatrixChecker",
-    "KernelVectorChecker",
     "CoverageReport",
     "measure_coverage",
     "minimize_failure",

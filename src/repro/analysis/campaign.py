@@ -28,7 +28,6 @@ from repro import telemetry
 from repro.analysis.pool import ProgressFn, run_tasks
 from repro.analysis.replay import bug_spec_from_meta, hunt_trace_meta
 from repro.core.api import DEFAULT_ENGINE, check
-from repro.core.context import CheckContext
 from repro.core.policy import TSO, MemoryModel
 from repro.core.stream import DEFAULT_WINDOW, stream_check_machine
 from repro.core.result import PoolStats
@@ -64,8 +63,8 @@ class CampaignConfig:
         batch: hunts dispatched per pool task (``>= 1``).  Batching
             amortizes the per-task fixed costs — task pickling and pipe
             round-trips, worker telemetry flushes — and lets the hunts
-            of a batch share warm state (a reset :class:`TsoMachine`,
-            reused checker buffers) via :class:`HuntScratch`.  Every
+            of a batch share warm state (a reset :class:`TsoMachine`)
+            via :class:`HuntScratch`.  Every
             hunt's seed stream is derived from (campaign seed, cpu, bug
             index) alone, so results are hunt-for-hunt identical for
             any batch size.
@@ -322,16 +321,14 @@ class CampaignResult:
 class HuntScratch:
     """Reusable per-worker state shared by the hunts of a batch.
 
-    Holds one :class:`TsoMachine` slot (reset between attempts instead
-    of re-constructed) and one :class:`~repro.core.context.CheckContext`
-    (checker frontier buffers wiped, not re-allocated).  Single-process
-    scratch: a scratch never crosses a pool-task boundary, so batched
-    and unbatched campaigns stay hunt-for-hunt identical.
+    Holds one :class:`TsoMachine` slot, reset between attempts instead
+    of re-constructed.  Single-process scratch: a scratch never crosses
+    a pool-task boundary, so batched and unbatched campaigns stay
+    hunt-for-hunt identical.
     """
 
     def __init__(self) -> None:
         self.machine: Optional[TsoMachine] = None
-        self.context = CheckContext()
 
     def arm_machine(
         self, program, seed: int, machine_config: MachineConfig,
@@ -392,7 +389,6 @@ def hunt_bug(
         + (zlib.crc32(cpu_name.encode()) % 1_000_003) * 101
         + bug_index * 7_919
     )
-    context = scratch.context if scratch is not None else None
     pipelined = _pipeline_applies(spec, config)
 
     def arm(seed: int) -> TsoMachine:
@@ -430,8 +426,7 @@ def hunt_bug(
             observed = machine.run()
             ops += sum(len(cpu.records) for cpu in machine.cpus)
             detected, via = _triage(
-                spec, program, machine, observed, config.model,
-                config.engine, context=context,
+                spec, program, machine, observed, config.model, config.engine
             )
             if detected:
                 return BugHunt(
@@ -458,7 +453,7 @@ def hunt_batch(
     The batched-dispatch unit: a pool task carrying B independent
     ``(spec, cpu name, bug index)`` hunts pays one task round-trip and
     one worker telemetry flush for all of them, and the hunts share one
-    :class:`HuntScratch` (machine resets + checker-buffer reuse).  Each
+    :class:`HuntScratch` (machine resets).  Each
     hunt's outcome is identical to :func:`hunt_bug` run alone.
     """
     scratch = scratch or HuntScratch()
@@ -500,28 +495,24 @@ def _triage(
     observed,
     model: MemoryModel,
     engine: str = DEFAULT_ENGINE,
-    context: Optional[CheckContext] = None,
 ) -> Tuple[bool, str]:
     """Classify one run's outcome against the hunted bug's class."""
     if spec.bug_class == BugClass.MONITOR:
         if machine.monitor_alarms and check(
-            program, observed, model=model, engine=engine, context=context
+            program, observed, model=model, engine=engine
         ).ok:
             return True, "spurious monitor alarm on a TSO-clean run"
         return False, ""
     if spec.bug_class == BugClass.ENVIRONMENT:
-        if not check(
-            program, observed, model=model, engine=engine, context=context
-        ).ok:
+        if not check(program, observed, model=model, engine=engine).ok:
             true_result = check(
-                program, machine.true_execution, model=model, engine=engine,
-                context=context,
+                program, machine.true_execution, model=model, engine=engine
             )
             if true_result.ok:
                 return True, "observed trace fails analysis, true trace passes"
         return False, ""
     # Architecture / design: the machine itself misbehaved.
-    result = check(program, observed, model=model, engine=engine, context=context)
+    result = check(program, observed, model=model, engine=engine)
     if not result.ok:
         return True, f"TSO violation ({result.violation.kind.value})"
     return False, ""

@@ -486,6 +486,8 @@ def _cmd_status(args: argparse.Namespace) -> int:
             line += f", {job['dedup_buckets']} failure bucket(s)"
         if job.get("exit_code") is not None:
             line += f", exit {job['exit_code']}"
+        if job.get("error"):
+            line += f", {job['error']}"
         print(line)
         owners = job.get("owners") or {}
         for owner in sorted(owners):
@@ -533,7 +535,7 @@ def _cmd_compact(args: argparse.Namespace) -> int:
         return 2
     service = CampaignService(ServiceConfig(root=args.root, http_port=None))
     total_before = total_after = shards = 0
-    for job_id, _manifest in service.spooled():
+    for job_id, _manifest, _error in service.spooled():
         job_dir = service.job_dir(job_id)
         if not os.path.isdir(job_dir):
             continue

@@ -11,15 +11,15 @@ Public surface:
 * :class:`repro.core.checker.BaselineChecker` — the literal Fig. 2
   algorithm,
 * :class:`repro.core.closure.ClosureChecker` /
-  :class:`repro.core.matrix.MatrixChecker` /
   :class:`repro.core.vc.VectorClockChecker` /
-  :class:`repro.core.vck.KernelVectorChecker` — the optimized engines
-  (bitset closure, numpy matrices, the default incremental
-  vector-clock frontiers, and its vectorized-kernel variant; see
-  ``docs/engines.md``).  ``MatrixChecker`` needs the ``repro[fast]``
-  extra and is ``None`` when numpy is missing,
+  :class:`repro.core.stream.StreamingChecker` — the optimized engines
+  (per-pass bitset closure, the default incremental chain-frontier
+  engine, and its record-at-a-time streaming twin; see
+  ``docs/engines.md``),
 * :func:`repro.core.complete.complete_check` — the exponential complete
   decision procedure (enforces the Order axiom; small programs only).
+
+The package is stdlib-only: no engine needs numpy.
 """
 
 from repro.core.policy import TSO, SC, PSO, MemoryModel
@@ -27,14 +27,7 @@ from repro.core.api import check, check_execution, check_litmus
 from repro.core.result import CheckResult, Violation, ViolationKind, EdgeReason
 from repro.core.checker import BaselineChecker
 from repro.core.closure import ClosureChecker
-from repro.core.kernels import HAVE_NUMPY
-
-if HAVE_NUMPY:
-    from repro.core.matrix import MatrixChecker
-else:  # numpy is an optional extra; the dense engine needs it
-    MatrixChecker = None  # type: ignore[assignment,misc]
 from repro.core.vc import VectorClockChecker
-from repro.core.vck import KernelVectorChecker
 from repro.core.complete import complete_check, CompleteResult
 from repro.core.axioms import verify_witness
 from repro.core.htmlreport import render_html
@@ -55,9 +48,7 @@ __all__ = [
     "EdgeReason",
     "BaselineChecker",
     "ClosureChecker",
-    "MatrixChecker",
     "VectorClockChecker",
-    "KernelVectorChecker",
     "complete_check",
     "CompleteResult",
     "verify_witness",

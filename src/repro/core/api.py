@@ -29,65 +29,34 @@ from typing import Dict, Optional
 from repro import telemetry
 from repro.core.checker import BaselineChecker
 from repro.core.closure import ClosureChecker
-from repro.core.context import CheckContext
-from repro.core.kernels import HAVE_NUMPY
 from repro.core.policy import MemoryModel, TSO
 from repro.core.result import CheckResult
 from repro.core.stream import StreamingChecker
 from repro.core.vc import VectorClockChecker
-from repro.core.vck import KernelVectorChecker
-from repro.model.expansion import AnalysisProgram, expand
+from repro.model.expansion import expand
 from repro.model.program import Program, parse_litmus
 from repro.model.trace import Execution
 
-#: Registered checker engines, by name.  The dense-matrix engine is
-#: numpy-only and appears only when the ``repro[fast]`` extra is
-#: installed; ``vck`` is always registered and falls back to the shared
-#: scalar path without numpy (see ``docs/performance.md``).
+#: Registered checker engines, by name.
 ENGINES = {
     "baseline": BaselineChecker,
     "closure": ClosureChecker,
     "stream": StreamingChecker,
     "vc": VectorClockChecker,
-    "vck": KernelVectorChecker,
 }
-if HAVE_NUMPY:
-    from repro.core.matrix import MatrixChecker
-
-    ENGINES["matrix"] = MatrixChecker
 
 #: The production default: the incremental vector-clock engine (see
-#: ``docs/engines.md`` for the six engines and when to pick each).
+#: ``docs/engines.md`` for the four engines and when to pick each).
 DEFAULT_ENGINE = "vc"
 
 
-def make_checker(
-    model: MemoryModel = TSO,
-    engine: str = DEFAULT_ENGINE,
-    context: Optional["CheckContext"] = None,
-):
-    """Instantiate a checker engine by name (see :data:`ENGINES`).
-
-    ``context`` is an optional :class:`~repro.core.context.CheckContext`
-    whose scratch buffers the engine reuses across runs (the batched
-    campaign path).  Engines that accept it natively get it as a
-    constructor argument; the rest carry it as a plain ``context``
-    attribute and simply ignore it — so one reuse-parity suite can run
-    every engine against the same context.
-    """
+def make_checker(model: MemoryModel = TSO, engine: str = DEFAULT_ENGINE):
+    """Instantiate a checker engine by name (see :data:`ENGINES`)."""
     try:
         cls = ENGINES[engine]
     except KeyError:
         raise ValueError(f"unknown engine {engine!r}; choose from {sorted(ENGINES)}")
-    if context is None:
-        return cls(model)
-    try:
-        return cls(model, context=context)
-    except TypeError:
-        checker = cls(model)
-        checker.context = context
-        context.checks += 1
-        return checker
+    return cls(model)
 
 
 def check_execution(
@@ -96,7 +65,6 @@ def check_execution(
     word_names: Optional[Dict[int, str]] = None,
     model: MemoryModel = TSO,
     engine: str = DEFAULT_ENGINE,
-    context: Optional["CheckContext"] = None,
 ) -> CheckResult:
     """Check a raw execution trace against a memory model.
 
@@ -108,7 +76,7 @@ def check_execution(
     with telemetry.span("expand"):
         aprog = expand(execution, initial=initial, word_names=word_names)
     with telemetry.span("check", engine=engine, model=model.name):
-        return make_checker(model, engine, context=context).run(aprog)
+        return make_checker(model, engine).run(aprog)
 
 
 def check(
@@ -116,7 +84,6 @@ def check(
     execution: Execution,
     model: MemoryModel = TSO,
     engine: str = DEFAULT_ENGINE,
-    context: Optional["CheckContext"] = None,
 ) -> CheckResult:
     """Check a program's observed execution against a memory model."""
     return check_execution(
@@ -125,7 +92,6 @@ def check(
         word_names=program.word_names,
         model=model,
         engine=engine,
-        context=context,
     )
 
 

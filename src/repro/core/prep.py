@@ -6,9 +6,8 @@ starts: the loads with their observed-store targets resolved (and the
 atomic-group endpoints the closure pruning must respect), the stores
 with their observer loads, and the per-node ``group_first`` table.
 Historically each engine rebuilt these independently — the baseline
-even re-resolved ``map_value`` every fixed-point pass — and the set-bit
-iteration helpers were duplicated between the int-bitset and numpy
-engines.  This module is the single home for all of it.
+even re-resolved ``map_value`` every fixed-point pass.  This module is
+the single home for all of it.
 """
 
 from __future__ import annotations
@@ -38,25 +37,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def iter_packed_bits(row) -> List[int]:
-    """Set-bit indices of a packed uint64 word sequence (numpy row).
-
-    Word ``i`` holds bits ``[64*i, 64*i+64)``; only nonzero words are
-    expanded, so sparse rows stay cheap.
-    """
-    import numpy as np
-
-    out: List[int] = []
-    for word_index in np.flatnonzero(row):
-        word = int(row[word_index])
-        base = int(word_index) << 6
-        while word:
-            low = word & -word
-            out.append(base + low.bit_length() - 1)
-            word ^= low
-    return out
-
-
 class Chains:
     """A chain decomposition of the analysis nodes, derived from the
     memory model's static guarantees.
@@ -83,10 +63,9 @@ class Chains:
     Each synthetic root store is its own singleton chain (roots are
     mutually unordered).
 
-    Shared by the scalar vc engine and the kernel-accelerated vck
-    engine — both consume the same decomposition, per-address store
-    index, and candidate semantics (the vectorized path batches the
-    same interval queries; see :mod:`repro.core.kernels`).
+    Consumed by the vc engine, whose frontier vectors carry one entry
+    per chain and whose R6/R7 candidate queries search the per-address
+    store index (:attr:`addr_stores`).
     """
 
     def __init__(self, aprog: AnalysisProgram, model: MemoryModel) -> None:

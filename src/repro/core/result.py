@@ -205,7 +205,7 @@ class CheckStats:
 
     Every engine fills the shared fields; ``traversals``/
     ``traversal_visits`` are traversal-engine specific,
-    ``closure_rebuilds`` closure/matrix/vc-engine specific, and
+    ``closure_rebuilds`` closure/vc-engine specific, and
     ``vc_queries``/``reorder_visits`` vc-engine specific.  The per-run
     stats also feed :func:`repro.telemetry.record_check`, which folds
     them into the process-wide ``check.*`` counters.
@@ -223,7 +223,7 @@ class CheckStats:
     #: during the traversal of predecessor/successor subgraphs").
     traversals: int = 0
     traversal_visits: int = 0
-    #: Closure/matrix/vc engines only: how many times the transitive
+    #: Closure/vc engines only: how many times the transitive
     #: closure was recomputed from scratch.  The per-pass engines pay
     #: one rebuild per fixed-point iteration; the incremental vc engine
     #: builds it exactly once and propagates deltas afterwards.
@@ -238,11 +238,6 @@ class CheckStats:
     #: the affected-region cost of keeping the topological order (and
     #: with it cycle detection) current across edge insertions.
     reorder_visits: int = 0
-    #: Vck engine only: vectorized kernel dispatches — frontier builds,
-    #: batched R6/R7 span discoveries, and batched suppression tests.
-    #: Stays 0 on the pure-Python fallback path (no numpy), where the
-    #: engine runs the shared scalar loops instead.
-    kernel_batches: int = 0
     #: Stream engine only: nodes whose frontier vectors were dropped by
     #: window retirement, and the peak count of simultaneously-live
     #: (vector-carrying) nodes.  ``live_peak`` is the engine's memory
@@ -269,7 +264,6 @@ class CheckStats:
             "closure_rebuilds": self.closure_rebuilds,
             "vc_queries": self.vc_queries,
             "reorder_visits": self.reorder_visits,
-            "kernel_batches": self.kernel_batches,
             "retired_nodes": self.retired_nodes,
             "live_peak": self.live_peak,
         }
@@ -285,7 +279,7 @@ class CheckResult:
             ``ok=True`` does not prove compliance.
         model_name: the memory model the execution was checked against.
         engine: the checker engine used (``baseline``, ``closure``,
-            ``matrix``, ``vc`` or ``stream``).
+            ``vc`` or ``stream``).
         violation: the witness, when ``ok`` is False.
         stats: analysis-size and runtime bookkeeping.
         aprog: the analysis program, retained for rendering.

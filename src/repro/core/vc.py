@@ -70,7 +70,6 @@ from repro.core.result import (
     Violation,
     ViolationKind,
 )
-from repro.core.context import CheckContext
 from repro.model.expansion import AnalysisProgram
 
 #: Back-compat alias for :class:`repro.core.prep.Chains`.
@@ -86,24 +85,15 @@ class VectorClockChecker:
         self,
         model: MemoryModel = TSO,
         inferred_rules: bool = True,
-        context: Optional["CheckContext"] = None,
     ) -> None:
         """Args:
             model: memory-model ordering policy.
             inferred_rules: apply the R6/R7 fixed point (disabling them
                 is the DESIGN.md rule ablation, as on the closure
                 engine).
-            context: optional :class:`~repro.core.context.CheckContext`
-                whose scratch buffers are reused across runs — the
-                batched-campaign state-reuse path.  The scalar engine
-                carries it for its subclasses (vck consumes the numpy
-                frontier buffers); ``None`` allocates per run.
         """
         self.model = model
         self.inferred_rules = inferred_rules
-        self.context = context
-        if context is not None:
-            context.checks += 1
 
     def run(self, aprog: AnalysisProgram) -> CheckResult:
         """Check one analysis program; return the verdict with a witness."""

@@ -20,7 +20,9 @@ of, then merges.
 Exit-code contract (``--once`` mode): the maximum campaign exit code
 across all spooled jobs — 0 all bugs detected, 1 some undetected, 2 a
 hunt hung or crashed — i.e. exactly what ``tsotool campaign`` would
-have returned for the worst job.
+have returned for the worst job.  A spooled manifest that no longer
+validates finishes with exit code 2 and its error in ``result.json``;
+the other jobs still drain.
 """
 
 from __future__ import annotations
@@ -135,8 +137,17 @@ class CampaignService:
             telemetry.count("service.submissions")
         return job_id
 
-    def spooled(self) -> List[Tuple[str, CampaignManifest]]:
-        """Spooled jobs, oldest submission first (FIFO by mtime)."""
+    def spooled(
+        self,
+    ) -> List[Tuple[str, Optional[CampaignManifest], Optional[str]]]:
+        """Spooled jobs as ``(job_id, manifest, error)``, oldest
+        submission first (FIFO by mtime).
+
+        A manifest that no longer loads (malformed JSON, or a setting
+        this build rejects, such as a retired engine name) comes back
+        as ``(job_id, None, message)`` instead of raising, so one bad
+        submission cannot stall every other job.
+        """
         entries: List[Tuple[float, str, str]] = []
         for name in os.listdir(self.spool_dir):
             if not name.endswith(".manifest.json"):
@@ -147,15 +158,36 @@ class CampaignService:
                 entries.append((os.path.getmtime(path), job_id, path))
             except FileNotFoundError:
                 continue
-        out: List[Tuple[str, CampaignManifest]] = []
+        out: List[Tuple[str, Optional[CampaignManifest], Optional[str]]] = []
         for _, job_id, path in sorted(entries):
-            out.append((job_id, CampaignManifest.load(path)))
+            try:
+                out.append((job_id, CampaignManifest.load(path), None))
+            except FileNotFoundError:
+                continue
+            except (ValueError, KeyError, TypeError) as exc:
+                out.append((job_id, None, f"invalid manifest: {exc}"))
         return out
 
     # -- running -------------------------------------------------------
 
     def job_done(self, job_id: str) -> bool:
         return os.path.exists(self.result_path(job_id))
+
+    def _write_result(self, job_id: str, doc: Dict[str, object]) -> None:
+        """Atomically write a job's ``result.json`` (marks it done)."""
+        os.makedirs(self.job_dir(job_id), exist_ok=True)
+        tmp = self.result_path(job_id) + ".tmp"
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, self.result_path(job_id))
+
+    def _fail_job(self, job_id: str, error: str) -> int:
+        """Finish a job that cannot run with exit code 2 and the reason."""
+        self._write_result(
+            job_id, {"v": 1, "job": job_id, "exit_code": 2, "error": error}
+        )
+        return 2
 
     def run_job(self, job_id: str, manifest: CampaignManifest) -> int:
         """Run (or resume) one job to completion; returns its exit code.
@@ -179,17 +211,12 @@ class CampaignService:
             self._active_job = job_id
             result = runner.run()
             code = result.exit_code()
-            doc = {
+            self._write_result(job_id, {
                 "v": 1,
                 "job": job_id,
                 "exit_code": code,
                 "result": result.to_dict(),
-            }
-            tmp = self.result_path(job_id) + ".tmp"
-            with open(tmp, "w") as fh:
-                json.dump(doc, fh, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, self.result_path(job_id))
+            })
             return code
         finally:
             self._active_job = None
@@ -207,9 +234,11 @@ class CampaignService:
         """One spool pass; returns the worst exit code seen, or ``None``
         when the spool was empty."""
         worst: Optional[int] = None
-        for job_id, manifest in self.spooled():
+        for job_id, manifest, error in self.spooled():
             if self.job_done(job_id):
                 code = self.stored_exit_code(job_id)
+            elif manifest is None:
+                code = self._fail_job(job_id, error or "invalid manifest")
             else:
                 code = self.run_job(job_id, manifest)
             if code is not None:
@@ -276,8 +305,8 @@ class CampaignService:
         *runner* owns reporting them; a status probe must stay silent.
         """
         jobs: List[Dict[str, object]] = []
-        for job_id, manifest in self.spooled():
-            jobs.append(self._job_entry(job_id, manifest))
+        for job_id, manifest, error in self.spooled():
+            jobs.append(self._job_entry(job_id, manifest, error))
         return {
             "v": 1,
             "service": {
@@ -344,7 +373,10 @@ class CampaignService:
         return summary
 
     def _job_entry(
-        self, job_id: str, manifest: CampaignManifest
+        self,
+        job_id: str,
+        manifest: Optional[CampaignManifest],
+        error: Optional[str] = None,
     ) -> Dict[str, object]:
         if job_id == self._active_job:
             state = "running"
@@ -353,16 +385,16 @@ class CampaignService:
         else:
             state = "queued"
         summary = self._job_summary(job_id)
-        return {
+        entry: Dict[str, object] = {
             "id": job_id,
-            "name": manifest.name,
+            "name": None if manifest is None else manifest.name,
             "state": state,
             "shards": {
-                "total": len(manifest.shards()),
+                "total": 0 if manifest is None else len(manifest.shards()),
                 "done": summary.get("shards_done", 0),
             },
             "hunts": {
-                "total": manifest.hunt_count(),
+                "total": 0 if manifest is None else manifest.hunt_count(),
                 "recorded": summary.get("hunts_recorded", 0),
                 "detected": summary.get("hunts_detected", 0),
                 "hung": summary.get("hunts_hung", 0),
@@ -371,6 +403,9 @@ class CampaignService:
             "dedup_buckets": summary.get("dedup_buckets", 0),
             "exit_code": self.stored_exit_code(job_id),
         }
+        if error is not None:
+            entry["error"] = error
+        return entry
 
     # -- maintenance ---------------------------------------------------
 
@@ -390,7 +425,7 @@ class CampaignService:
         removed_spool: List[str] = []
         removed_tmp: List[str] = []
         compacted: Dict[str, Tuple[int, int]] = {}
-        for job_id, _manifest in self.spooled():
+        for job_id, _manifest, _error in self.spooled():
             result = self.result_path(job_id)
             try:
                 age = now - os.path.getmtime(result)

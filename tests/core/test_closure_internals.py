@@ -5,7 +5,7 @@ import pytest
 from repro.core.closure import compute_closure, iter_bits, topological_order
 from repro.core.graph import ConstraintGraph
 from repro.core.result import EdgeReason
-from repro.core.api import check_litmus
+from repro.core.api import ENGINES, check_litmus
 from tests.util import litmus_aprog
 
 R = EdgeReason("test")
@@ -92,7 +92,7 @@ class TestGraphDump:
         assert len(edge_lines) == result.stats.edges
 
     def test_all_engines_attach_graphs(self):
-        for engine in ("closure", "baseline", "matrix", "vc"):
+        for engine in sorted(ENGINES):
             result = check_litmus("P0: S[A]#1 ; L[A]=1", engine=engine)
             assert result.graph is not None
             assert "node" in result.dump_graph()

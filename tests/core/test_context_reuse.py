@@ -1,21 +1,20 @@
-"""Checker-context reuse safety: reused scratch never changes verdicts.
+"""Reuse safety: warm state never changes a verdict or a hunt.
 
-A :class:`~repro.core.context.CheckContext` lends its buffers to every
-check of a batch; the contract is that a checker must *never* trust
-leftover contents — a check through a context that just analyzed a
-different (larger, violating, differently-shaped) execution must return
-exactly what a fresh checker returns, witness included.  Each engine is
-exercised twice on the same reused context, interleaving executions so
-buffer sizes both grow and shrink between checks.
+Two kinds of state outlive one check.  A checker instance may run many
+analysis programs (``measure_runtime`` times repeated ``run()`` calls
+on one instance), and a :class:`~repro.analysis.campaign.HuntScratch`
+lends one reset-reused :class:`~repro.sim.machine.TsoMachine` to every
+hunt of a batch.  The contract for both: a run through reused state
+must return exactly what fresh state returns, witness included.
 """
 
 import pytest
 
 from repro.core.api import ENGINES, check, make_checker
-from repro.core.context import CheckContext, HAVE_NUMPY
 from repro.core.policy import TSO
 from repro.generator.config import GeneratorConfig
 from repro.generator.generator import generate_program
+from repro.model.expansion import expand
 from repro.model.program import parse_litmus
 from repro.sim.cpus import CPU_CONFIGS
 from repro.sim.faults import StaleForwardFault
@@ -41,14 +40,9 @@ def _cases():
     )
     cases.append((small, TsoMachine(small, seed=7).run()))
     # A genuinely violating simulated run (not just the litmus case).
-    faulty = generate_program(
-        GeneratorConfig(nprocs=3, ops_per_proc=50, shared_words=4), seed=3
-    )
+    config = GeneratorConfig(nprocs=3, ops_per_proc=50, shared_words=4)
     for seed in range(3, 40):
-        faulty = generate_program(
-            GeneratorConfig(nprocs=3, ops_per_proc=50, shared_words=4),
-            seed=seed,
-        )
+        faulty = generate_program(config, seed=seed)
         trace = TsoMachine(
             faulty, seed=seed, faults=[StaleForwardFault()]
         ).run()
@@ -64,78 +58,30 @@ CASES = _cases()
 class TestReuseParity:
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_fresh_vs_reused_verdict_and_witness(self, engine):
-        """Every engine, twice through one reused context: verdicts and
-        witnesses match the fresh-checker run case for case."""
-        context = CheckContext()
+        """Every engine, one checker instance run twice over cases that
+        grow, shrink and flip verdict: verdicts and witnesses match a
+        fresh checker case for case."""
+        assert any(not check(p, e).ok for p, e in CASES)
+        reused = make_checker(TSO, engine)
         for _round in range(2):
             for program, execution in CASES:
-                fresh = check(program, execution, engine=engine)
-                reused = check(
-                    program, execution, engine=engine, context=context
+                aprog = expand(
+                    execution, initial=program.initial,
+                    word_names=program.word_names,
                 )
-                assert reused.ok == fresh.ok
-                assert reused.explain() == fresh.explain()
+                fresh = make_checker(TSO, engine).run(aprog)
+                again = reused.run(aprog)
+                assert again.ok == fresh.ok
+                assert again.explain() == fresh.explain()
                 if fresh.violation is not None:
-                    assert reused.violation is not None
-                    assert reused.violation.kind == fresh.violation.kind
-                    assert reused.violation.cycle == fresh.violation.cycle
-
-    def test_context_shared_across_engines(self):
-        """One context may serve every engine in turn — engines that
-        can't use the buffers carry it inert, never corrupt it."""
-        context = CheckContext()
-        verdicts = {}
-        for engine in sorted(ENGINES):
-            for program, execution in CASES:
-                result = check(
-                    program, execution, engine=engine, context=context
-                )
-                verdicts.setdefault((id(program)), set()).add(result.ok)
-        # Engines agree case for case even through the shared context.
-        assert all(len(v) == 1 for v in verdicts.values())
-        assert context.checks == len(ENGINES) * len(CASES)
-
-
-class TestContextAccounting:
-    def test_counters_track_checker_construction(self):
-        context = CheckContext()
-        for _ in range(3):
-            make_checker(TSO, "vck", context=context)
-        assert context.checks == 3
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy buffers")
-    def test_buffers_allocated_once_for_stable_sizes(self):
-        context = CheckContext()
-        pair = context.frontier_pair(64, 8)
-        assert pair is not None
-        first_to = context._flat_to
-        for _ in range(5):
-            context.frontier_pair(64, 8)
-        assert context._flat_to is first_to
-        assert context.allocations == 1
-        assert context.reuses == 5
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy buffers")
-    def test_buffers_grow_then_serve_smaller_checks(self):
-        context = CheckContext()
-        context.frontier_pair(16, 4)
-        context.frontier_pair(128, 16)   # grow
-        assert context.allocations == 2
-        m_to, m_from = context.frontier_pair(8, 2)  # shrink: reuse
-        assert context.allocations == 2
-        assert m_to.shape == (8, 2) and m_from.shape == (8, 2)
-
-    def test_frontier_pair_without_numpy(self, monkeypatch):
-        import repro.core.context as ctx_mod
-
-        monkeypatch.setattr(ctx_mod, "HAVE_NUMPY", False)
-        assert CheckContext().frontier_pair(16, 4) is None
+                    assert again.violation.kind == fresh.violation.kind
+                    assert again.violation.cycle == fresh.violation.cycle
 
 
 class TestCampaignContextReuse:
     def test_reused_context_in_triage_matches_fresh(self):
-        """The campaign-shaped reuse: several hunts' worth of checks
-        through one scratch context, compared against fresh checks."""
+        """The campaign-shaped reuse: several hunts through one scratch,
+        each compared against the same hunt run without one."""
         from repro.analysis.campaign import CampaignConfig, HuntScratch, hunt_bug
         from repro.service.store import hunt_digest
 
@@ -153,5 +99,4 @@ class TestCampaignContextReuse:
             )
             without = hunt_bug(spec, cpu.name, config, bug_index=index)
             assert hunt_digest(with_scratch) == hunt_digest(without)
-        if HAVE_NUMPY:
-            assert scratch.context.checks > 0
+        assert scratch.machine is not None

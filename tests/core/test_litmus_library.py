@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.api import check_litmus
+from repro.core.api import ENGINES, check_litmus
 from repro.core.complete import complete_check
 from repro.core.policy import PSO, SC, TSO
 from repro.generator.litmus import LITMUS_LIBRARY, LitmusCase, litmus_by_name
@@ -18,7 +18,7 @@ CASES = [(case, model) for case in LITMUS_LIBRARY for model in case.expect]
     CASES,
     ids=[f"{c.name}-{m}" for c, m in CASES],
 )
-@pytest.mark.parametrize("engine", ["closure", "baseline"])
+@pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_expected_verdict(case: LitmusCase, model: str, engine: str):
     result = check_litmus(case.text, model=MODELS[model], engine=engine)
     assert result.ok == case.expect[model], result.explain()

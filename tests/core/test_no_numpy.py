@@ -1,12 +1,13 @@
-"""The no-numpy fallback contract, tested for real.
+"""The library is stdlib-only: numpy is neither needed nor imported.
 
-numpy is an optional extra (``pip install repro[fast]``).  Without it
-the ``matrix`` engine must disappear from the registry, ``vck`` must
-stay registered and silently degrade to the shared scalar path, and
-verdicts must not change.  Monkeypatching ``sys.modules`` in-process is
-unreliable once numpy has been imported anywhere, so this runs a fresh
-interpreter with numpy stubbed out of ``sys.modules`` before any repro
-import (the standard ``sys.modules[name] = None`` import blocker).
+Two interpreters are probed.  One has numpy blocked before any repro
+import (the standard ``sys.modules[name] = None`` import blocker, which
+makes every ``import numpy`` raise like an uninstalled package): it
+must see the full engine registry, and every engine must still flag
+the paper's Fig. 3 violation.  The other is a normal interpreter that
+imports the checker, the campaign layer and the service queue: numpy
+must not appear in its ``sys.modules``.  Both run fresh, because once
+numpy is imported anywhere in-process it cannot be un-imported.
 """
 
 import json
@@ -15,23 +16,19 @@ import subprocess
 import sys
 import textwrap
 
-import pytest
+from repro.core import kernels
+from repro.core.api import ENGINES
 
-_PROBE = textwrap.dedent(
+_SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
+
+_BLOCKED_PROBE = textwrap.dedent(
     """
     import json
     import sys
 
-    # Block numpy before any repro import: a None entry makes every
-    # `import numpy` raise ImportError, exactly like an uninstalled
-    # package.
     sys.modules["numpy"] = None
 
-    from repro.core.api import ENGINES, check, check_litmus
-    from repro.core.kernels import HAVE_NUMPY
-    from repro.generator.config import GeneratorConfig
-    from repro.generator.generator import generate_program
-    from repro.sim.machine import TsoMachine
+    from repro.core.api import ENGINES, check_litmus
 
     FIG3 = '''
         P0: S[B]#91 ; S[A]#1 ; L[A]=2
@@ -40,88 +37,59 @@ _PROBE = textwrap.dedent(
         P3: L[B]=92 ; L[B]=91
     '''
 
-    def strip(text):
-        return "\\n".join(
-            line for line in text.splitlines() if "engine=" not in line
-        )
-
-    vck = check_litmus(FIG3, engine="vck")
-    vc = check_litmus(FIG3, engine="vc")
-
-    program = generate_program(
-        GeneratorConfig(nprocs=4, ops_per_proc=60, shared_words=4), seed=11
-    )
-    trace = TsoMachine(program, seed=11).run()
-    clean_vck = check(program, trace, engine="vck")
-    clean_vc = check(program, trace, engine="vc")
-
     print(json.dumps({
-        "have_numpy": HAVE_NUMPY,
         "engines": sorted(ENGINES),
-        "fig3_ok": vck.ok,
-        "fig3_engine": vck.engine,
-        "fig3_cycle": vck.violation.cycle,
-        "fig3_explains_match": strip(vck.explain()) == strip(vc.explain()),
-        "clean_ok": clean_vck.ok and clean_vc.ok,
-        "clean_edges_match": clean_vck.stats.edges == clean_vc.stats.edges,
-        "kernel_batches": clean_vck.stats.kernel_batches,
+        "fig3": {
+            engine: check_litmus(FIG3, engine=engine).ok
+            for engine in sorted(ENGINES)
+        },
     }))
     """
 )
 
+_IMPORT_PROBE = textwrap.dedent(
+    """
+    import json
+    import sys
 
-def test_vck_falls_back_without_numpy():
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    env["PYTHONPATH"] = os.path.abspath(src)
+    import repro.core.api
+    import repro.analysis.campaign
+    import repro.service.queue
+
+    print(json.dumps({"numpy_loaded": "numpy" in sys.modules}))
+    """
+)
+
+
+def _probe(source: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=_SRC)
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE],
+        [sys.executable, "-c", source],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
-    assert report["have_numpy"] is False
-    assert "matrix" not in report["engines"]
-    assert "vck" in report["engines"]
-    # Fig. 3 must still fail, attributed to the vck engine, with the
-    # same witness the scalar vc engine reports (the fallback *is* the
-    # scalar path, so parity here is exact).
-    assert report["fig3_ok"] is False
-    assert report["fig3_engine"] == "vck"
-    assert report["fig3_cycle"]
-    assert report["fig3_explains_match"] is True
-    # A clean golden run passes with identical inferred-edge counts, and
-    # no kernel batches run (there are no kernels to run).
-    assert report["clean_ok"] is True
-    assert report["clean_edges_match"] is True
-    assert report["kernel_batches"] == 0
+    return json.loads(proc.stdout)
 
 
-@pytest.mark.skipif(
-    not any(
-        os.path.exists(os.path.join(p, "numpy"))
-        for p in sys.path
-        if p
-    )
-    and "numpy" not in sys.modules,
-    reason="numpy not installed; fast path covered by the fallback test",
-)
-def test_vck_fast_path_counts_kernel_batches():
-    # Counterpart smoke check in the numpy-enabled interpreter: the fast
-    # path actually runs batches (telemetry counter is non-zero).
-    pytest.importorskip("numpy")
-    from repro.core.api import check
-    from repro.generator.config import GeneratorConfig
-    from repro.generator.generator import generate_program
-    from repro.sim.machine import TsoMachine
+def test_every_engine_runs_with_numpy_blocked():
+    report = _probe(_BLOCKED_PROBE)
+    assert report["engines"] == ["baseline", "closure", "stream", "vc"]
+    assert report["engines"] == sorted(ENGINES)
+    assert report["fig3"] == {engine: False for engine in report["engines"]}
 
-    program = generate_program(
-        GeneratorConfig(nprocs=4, ops_per_proc=60, shared_words=4), seed=11
-    )
-    trace = TsoMachine(program, seed=11).run()
-    result = check(program, trace, engine="vck")
-    assert result.ok
-    assert result.stats.kernel_batches > 0
+
+def test_library_imports_never_load_numpy():
+    assert _probe(_IMPORT_PROBE) == {"numpy_loaded": False}
+
+
+def test_have_numpy_reports_installation():
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        installed = False
+    else:
+        installed = True
+    assert kernels.HAVE_NUMPY is installed

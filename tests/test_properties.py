@@ -5,18 +5,15 @@ The three load-bearing properties of the whole system:
 1. **End-to-end soundness** — the checker never flags an execution the
    golden TSO machine produced ("we presume the machine innocent,
    unless proved guilty": no false positives, Sec. 1).
-2. **Engine agreement** — all six checker engines (the literal
-   Fig. 2 baseline, the bitset closure, the numpy matrix, the
-   incremental vector-clock engine, its vectorized-kernel variant
-   ``vck`` and the streaming engine at its default no-retirement
+2. **Engine agreement** — all four checker engines (the literal
+   Fig. 2 baseline, the bitset closure, the incremental vector-clock
+   engine and the streaming engine at its default no-retirement
    window) return the same verdict — and, on failures, the same
    violation kind — on everything, including adversarially corrupted
-   and fault-injected runs.  The vc/vck pair must additionally both
-   produce a *valid* witness: a closed walk of explicit, reasoned
-   edges in each engine's own final graph (vck shares vc's
-   closing-edge mechanism but may close a different — equally real —
-   cycle, because its batched R6 pass inserts edges in a different
-   order and skips implied ones).
+   and fault-injected runs.  Every cycle witness must additionally be
+   *valid*: a closed walk of explicit, reasoned edges in the engine's
+   own final graph (the engines may close different — equally real —
+   cycles).
 3. **Complete-checker consistency** — on small programs, the polynomial
    checker is sound w.r.t. the exponential ground truth: whatever it
    flags, the complete procedure also rejects.
@@ -139,12 +136,7 @@ def test_engines_agree_on_golden_and_corrupted_runs(config, seed):
     program = generate_program(config, seed=seed)
     execution = TsoMachine(program, seed=seed).run()
     for trace in (execution, _corrupt(execution, seed)):
-        verdicts = {
-            engine: _verdict(check(program, trace, engine=engine))
-            for engine in sorted(ENGINES)
-        }
-        assert len(set(verdicts.values())) == 1, verdicts
-        _assert_witness_parity(program, trace)
+        _assert_engines_agree(program, trace)
 
 
 def _verdict(result):
@@ -173,19 +165,20 @@ def _assert_valid_cycle_witness(result):
         assert reasons[i].render()
 
 
-def _assert_witness_parity(program, trace):
-    """vc and vck share the closing-edge witness mechanism: on failures
-    both must report a CYCLE backed by explicit edges in their own final
-    graphs (the cycles themselves may differ; see the module docstring)."""
-    vc = check(program, trace, engine="vc")
-    vck = check(program, trace, engine="vck")
-    assert vc.ok == vck.ok
-    if not vc.ok and vc.violation.cycle:
-        assert vc.violation.kind == vck.violation.kind
-        _assert_valid_cycle_witness(vc)
-        _assert_valid_cycle_witness(vck)
-        assert _strip_engine_header(vc.explain())
-        assert _strip_engine_header(vck.explain())
+def _assert_engines_agree(program, trace):
+    """Every engine returns the same verdict and violation kind, and
+    every cycle it reports is backed by explicit edges in its own final
+    graph (the cycles themselves may differ; see the module docstring)."""
+    results = {
+        engine: check(program, trace, engine=engine)
+        for engine in sorted(ENGINES)
+    }
+    verdicts = {engine: _verdict(result) for engine, result in results.items()}
+    assert len(set(verdicts.values())) == 1, verdicts
+    for result in results.values():
+        if not result.ok and result.violation.cycle:
+            _assert_valid_cycle_witness(result)
+            assert _strip_engine_header(result.explain())
 
 
 #: Every shipped fault mechanism except the deliberate-hang scaffolding
@@ -210,13 +203,7 @@ def test_engines_agree_under_fault_injection(mechanism):
         machine = TsoMachine(
             program, seed=seed, faults=[mechanism(rate=0.3)]
         )
-        trace = machine.run()
-        verdicts = {
-            engine: _verdict(check(program, trace, engine=engine))
-            for engine in sorted(ENGINES)
-        }
-        assert len(set(verdicts.values())) == 1, (mechanism.__name__, verdicts)
-        _assert_witness_parity(program, trace)
+        _assert_engines_agree(program, machine.run())
 
 
 @FAST
