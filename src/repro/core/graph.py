@@ -60,32 +60,40 @@ class ConstraintGraph:
     def grow(self) -> None:
         """Extend adjacency storage to cover ops appended to the program.
 
-        The streaming checker feeds a *live* ``AnalysisProgram`` whose op
-        list grows as the simulator emits records; batch engines never
-        need this (their program is complete at construction).  A newly
-        appended op extends its atomic group, moving the group's last
-        node — the redirection table is patched for every member.
+        Fills the tables for every op not yet covered in one bulk pass:
+        the constructor covers the whole program this way, which is all
+        a batch engine needs.  The streaming checker feeds a *live*
+        ``AnalysisProgram`` whose op list grows as the simulator emits
+        records, and calls this after each append.  A newly appended op
+        extends its atomic group, moving the group's last node — the
+        redirection table is reset for every member of each group the
+        new ops belong to.
         """
         aprog = self.aprog
-        while self.n < aprog.n:
-            i = self.n
-            self.succ.append([])
-            self.pred.append([])
-            self._succ_sets.append(set())
-            group = aprog.ops[i].group
-            self._group.append(group)
-            if group == -1:
-                self._red_src.append(i)
-                self._red_dst.append(i)
-            else:
-                members = aprog.groups[group]
-                last = members[-1]
-                self._red_src.append(last)
-                self._red_dst.append(members[0])
-                for member in members:
-                    if member < i:
-                        self._red_src[member] = last
-            self.n += 1
+        start, n = self.n, aprog.n
+        if start >= n:
+            return
+        ops = aprog.ops
+        succ, pred, succ_sets = self.succ, self.pred, self._succ_sets
+        group_of, red_src, red_dst = self._group, self._red_src, self._red_dst
+        touched = set()
+        for i in range(start, n):
+            succ.append([])
+            pred.append([])
+            succ_sets.append(set())
+            red_src.append(i)
+            red_dst.append(i)
+            group = ops[i].group
+            group_of.append(group)
+            if group != -1:
+                touched.add(group)
+        for group in touched:
+            members = aprog.groups[group]
+            first, last = members[0], members[-1]
+            for member in members:
+                red_src[member] = last
+                red_dst[member] = first
+        self.n = n
 
     def redirect(self, u: int, v: int) -> Tuple[int, int]:
         """Apply atomic-group redirection to a prospective edge ``u -> v``.

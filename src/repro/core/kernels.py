@@ -3,7 +3,10 @@
 :func:`build_frontiers_scalar` computes both frontier tables of the vc
 engine (``core/vc.py``) in one pass over a topological order: each
 node's row is the element-wise ``max`` (``min``) of its parents'
-(children's) already-final rows, plus its own chain position.
+(children's) already-final rows, plus its own chain position.  The
+``vec_to`` rows are built projected: they carry only the columns the
+engine's R6 queries read (one per store-bearing chain), and the dropped
+columns are never materialised.
 
 :data:`HAVE_NUMPY` reports whether numpy is installed, for host
 descriptors that must record it.  The library itself never imports
@@ -26,28 +29,34 @@ def build_frontiers_scalar(
     succ: Sequence[Sequence[int]],
     chain_of: Sequence[int],
     pos_of: Sequence[int],
+    to_col: Sequence[int],
 ) -> Tuple[List[List[int]], List[List[int]]]:
     """One-pass closure DP producing both frontier tables.
 
-    Returns ``(rows_to, rows_from)`` as row-major lists: ``rows_to[v][c]``
-    is the highest position in chain ``c`` reaching ``v`` (-1: none),
-    ``rows_from[v][c]`` the lowest position reachable from ``v``
-    (``n + 1``: none); both include ``v`` itself.  Nodes are visited in
-    topological ``order``, so every parent/child row is final before it
-    is merged.
+    Returns ``(rows_to, rows_from)`` as row-major lists.
+    ``rows_to[v][to_col[c]]`` is the highest position in chain ``c``
+    reaching ``v`` (-1: none), for the chains with ``to_col[c] >= 0``
+    only; ``rows_from[v][c]`` is the lowest position in chain ``c``
+    reachable from ``v`` (``n + 1``: none), for all ``k`` chains.  Both
+    include ``v`` itself.  Nodes are visited in topological ``order``,
+    so every parent/child row is final before it is merged.  Entries
+    are independent per chain, so the projected columns equal the
+    corresponding columns of the full table.
     """
     inf = n + 1
+    width = sum(col >= 0 for col in to_col)
     rows_to: List[List[int]] = [None] * n  # type: ignore[list-item]
     for node in order:
         rows = [rows_to[parent] for parent in pred[node]]
         if not rows:
-            vec = [-1] * k
+            vec = [-1] * width
         elif len(rows) == 1:
             vec = list(rows[0])
         else:
             vec = list(map(max, *rows))
-        if pos_of[node] > vec[chain_of[node]]:
-            vec[chain_of[node]] = pos_of[node]
+        col = to_col[chain_of[node]]
+        if col >= 0 and pos_of[node] > vec[col]:
+            vec[col] = pos_of[node]
         rows_to[node] = vec
     rows_from: List[List[int]] = [None] * n  # type: ignore[list-item]
     for node in reversed(order):

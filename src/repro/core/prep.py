@@ -63,9 +63,11 @@ class Chains:
     Each synthetic root store is its own singleton chain (roots are
     mutually unordered).
 
-    Consumed by the vc engine, whose frontier vectors carry one entry
-    per chain and whose R6/R7 candidate queries search the per-address
-    store index (:attr:`addr_stores`).
+    Consumed by the vc engine, whose ``vec_from`` rows carry one entry
+    per chain, whose ``vec_to`` rows carry one entry per store-bearing
+    chain (:attr:`store_chains`, columns :attr:`to_col`), and whose
+    R6/R7 candidate queries search the per-address store index
+    (:attr:`addr_stores`).
     """
 
     def __init__(self, aprog: AnalysisProgram, model: MemoryModel) -> None:
@@ -121,6 +123,13 @@ class Chains:
         for (addr, chain), positions in per_chain.items():
             positions.sort()
             self.addr_stores.setdefault(addr, []).append((chain, positions))
+        # The chains R6 reads ``vec_to`` on — those holding a store — in
+        # chain order; ``to_col[c]`` is chain ``c``'s column in the vc
+        # engine's projected ``vec_to`` rows (-1: not kept).
+        self.store_chains = sorted({chain for _, chain in per_chain})
+        self.to_col = [-1] * self.k
+        for col, chain in enumerate(self.store_chains):
+            self.to_col[chain] = col
 
     def _new_chain(self, members: List[int]) -> None:
         if not members:

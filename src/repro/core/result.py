@@ -228,11 +228,13 @@ class CheckStats:
     #: one rebuild per fixed-point iteration; the incremental vc engine
     #: builds it exactly once and propagates deltas afterwards.
     closure_rebuilds: int = 0
-    #: Vc engine only: frontier-vector lookups — the O(k) interval
-    #: probes behind R6/R7 candidate discovery plus the O(1)
-    #: reachability queries behind implied-edge suppression, counted
-    #: for the R6/R7 items a fixed-point pass rescans (vc skips items
-    #: whose frontier has not moved since their last scan).
+    #: Vc engine only: frontier-vector lookups — one per chain probed
+    #: by R6/R7 candidate discovery, plus one per O(1) R7 observer
+    #: test behind implied-edge suppression — counted for the R6/R7
+    #: items a fixed-point pass rescans (vc skips items whose frontier
+    #: has not moved since their last scan) and, within an R7 chain
+    #: scan, for the candidates before the scan stops at the first one
+    #: every observer already reaches.
     vc_queries: int = 0
     #: Vc engine only: nodes visited by Pearce–Kelly local reordering —
     #: the affected-region cost of keeping the topological order (and

@@ -1,13 +1,13 @@
 """The incremental checker engine: vector-clock frontiers + online
 topological order.
 
-Fourth implementation of the Fig. 2 rules (R1–R7), built on the
-observation of Roy et al., *Fast and Generalized Polynomial Time Memory
-Consistency Verification* (the Intel follow-up to TSOtool): program
-order totally orders large slices of the analysis graph, so "the set of
-nodes that reaches v" does not need an n-bit set — it is captured
-exactly by a short *frontier vector* with one entry per totally ordered
-**chain** of nodes.
+An implementation of the Fig. 2 rules (R1–R7) built on the observation
+of Roy et al., *Fast and Generalized Polynomial Time Memory Consistency
+Verification* (the Intel follow-up to TSOtool): program order totally
+orders large slices of the analysis graph, so "the set of nodes that
+reaches v" does not need an n-bit set — it is captured exactly by a
+short *frontier vector* with one entry per totally ordered **chain** of
+nodes.
 
 Chains are carved out of the static program-order edges the memory
 model guarantees (see :class:`repro.core.prep.Chains`): under TSO
@@ -17,8 +17,8 @@ root store is its own singleton chain, so ``k ≈ 2·procs + addrs`` —
 two orders of magnitude below the node count at the paper's operating
 point.  Because every chain is a path in the constraint graph, "chain
 ``c``'s members that reach ``v``" is always a *prefix* of ``c``; the
-frontier entry stores just the prefix length.  This buys the three
-things the per-pass engines pay for repeatedly:
+frontier entry stores just the prefix length.  This buys the things
+the per-pass engines pay for repeatedly:
 
 * **R6/R7 candidate discovery is O(k).**  "Same-address store
   predecessors of L not already ordered before the observed store" is,
@@ -36,11 +36,24 @@ things the per-pass engines pay for repeatedly:
   stopping wherever nothing improves.  The full closure is built once,
   from the initial static + observed edges — ``closure_rebuilds`` stays
   at 1 however many fixed-point passes run.
+* **``vec_to`` is kept only where R6 reads it.**  R6 intervals read
+  ``vec_to`` on store-bearing chains only (under TSO the load/membar
+  chains hold no stores), and frontier entries evolve independently
+  per chain, so ``vec_to`` rows carry one column per store-bearing
+  chain (:attr:`repro.core.prep.Chains.to_col`) and the floods never
+  touch the rest.  ``vec_from`` stays full width: ``_reaches`` and the
+  R7 suppression test query it on every chain.
 * **Rescans follow moved frontiers.**  Each insertion stamps the rows
   it improves; a fixed-point pass rescans an R6 item only if its load's
   ``vec_to`` moved since the item's last scan (an R7 item: its store's
   ``vec_from``).  A skipped item could only re-propose existing edges,
   so the edges, their order and the iteration count are unchanged.
+* **R7 chain scans stop at the first implied successor.**  An R7
+  item's candidates on one chain come in ascending position.  Once
+  every observer already reaches a candidate's group entry point, it
+  reaches every later candidate's too (the chain is a path, and every
+  external edge into an atomic group lands on its first node), and
+  reach only grows — the rest of that chain would propose nothing.
 
 Atomic-group redirection and the R5 ``S';L`` subtlety are inherited
 bit-for-bit: edges are stored in the same :class:`ConstraintGraph`
@@ -128,9 +141,16 @@ class VectorClockChecker:
         self._graph = graph
         self._stats = stats
 
+        # One shared (frozen) reason per static rule.
+        static_reasons = {}
         try:
             for u, v, rule in static_edges(aprog, self.model):
-                if graph.add_edge(u, v, EdgeReason(rule, "program order")):
+                reason = static_reasons.get(rule)
+                if reason is None:
+                    reason = static_reasons[rule] = EdgeReason(
+                        rule, "program order"
+                    )
+                if graph.add_edge(u, v, reason):
                     stats.static_edges += 1
             for u, v, reason, _rule in observed_edges(aprog):
                 if graph.add_edge(u, v, reason):
@@ -156,10 +176,12 @@ class VectorClockChecker:
     def _init_state(self, graph: ConstraintGraph, order: List[int]) -> None:
         """Build frontiers and the topological order in one DP pass.
 
-        ``vec_to[v][c]`` is the highest position in chain ``c`` whose
-        member reaches ``v`` (-1: none), ``vec_from[v][c]`` the lowest
-        position reachable from ``v`` (``inf_pos``: none); both include
-        ``v`` itself, mirroring the closure engine's reach bitsets.
+        ``vec_to[v][to_col[c]]`` is the highest position in chain ``c``
+        whose member reaches ``v`` (-1: none), kept for store-bearing
+        chains only; ``vec_from[v][c]`` is the lowest position in chain
+        ``c`` reachable from ``v`` (``inf_pos``: none), kept for every
+        chain.  Both include ``v`` itself, mirroring the closure
+        engine's reach bitsets.
         ``_moved_to``/``_moved_from`` stamp each row with the ``_seq``
         of the last insertion that improved it.
         """
@@ -171,7 +193,7 @@ class VectorClockChecker:
             self._ord[node] = index
         self._vec_to, self._vec_from = build_frontiers_scalar(
             n, chains.k, order, graph.pred, graph.succ,
-            chains.chain_of, chains.pos_of,
+            chains.chain_of, chains.pos_of, chains.to_col,
         )
         self._seq = 0
         self._moved_to = [0] * n
@@ -190,11 +212,15 @@ class VectorClockChecker:
     ) -> Optional[Violation]:
         group_first = prep.group_first
         # The observer-suppression test (``_reaches``) runs for every
-        # (R7 candidate, observer) pair — millions of times at paper
+        # tested (R7 candidate, observer) pair — ~10^5 times at paper
         # scale — so it is inlined here over hoisted locals, with the
         # query count accumulated in bulk.
-        chain_of = self._chains.chain_of
-        pos_of = self._chains.pos_of
+        chains = self._chains
+        chain_of = chains.chain_of
+        pos_of = chains.pos_of
+        addr_stores = chains.addr_stores
+        chain_nodes = chains.nodes
+        inf = self._inf
         vec_from = self._vec_from
         moved_to = self._moved_to
         moved_from = self._moved_from
@@ -224,21 +250,41 @@ class VectorClockChecker:
                 if moved_from[store] <= r7_seen[i]:
                     continue  # vec_from[store] unchanged since the last scan
                 r7_seen[i] = self._seq
-                for s_prime in self._r7_candidates(addr, store):
-                    s_prime_first = group_first[s_prime]
-                    sp_chain = chain_of[s_prime_first]
-                    sp_pos = pos_of[s_prime_first]
-                    queries += len(observers)
-                    for load, load_last in observers:
-                        if vec_from[load_last][sp_chain] <= sp_pos:
-                            continue  # redirected edge already implied
-                        reason = EdgeReason(
-                            "R7",
-                            f"load n{load} observed store n{store}, which "
-                            f"precedes store n{s_prime} (Value axiom)",
-                        )
-                        if add_edge(load, s_prime, reason):
-                            added += 1
+                # Same-address store successors of ``store``, chain by
+                # chain, bounded by vec_from[store] as it stood when the
+                # item's scan began (insertions below may lower it).
+                vf = vec_from[store][:]
+                for chain, positions in addr_stores.get(addr, ()):
+                    queries += 1
+                    lo = vf[chain]
+                    if lo >= inf:
+                        continue
+                    members = chain_nodes[chain]
+                    for pos in positions[bisect_left(positions, lo):]:
+                        s_prime = members[pos]
+                        if s_prime == store:
+                            continue
+                        s_prime_first = group_first[s_prime]
+                        sp_chain = chain_of[s_prime_first]
+                        sp_pos = pos_of[s_prime_first]
+                        queries += len(observers)
+                        implied = True
+                        for load, load_last in observers:
+                            if vec_from[load_last][sp_chain] <= sp_pos:
+                                continue  # redirected edge already implied
+                            implied = False
+                            reason = EdgeReason(
+                                "R7",
+                                f"load n{load} observed store n{store}, which "
+                                f"precedes store n{s_prime} (Value axiom)",
+                            )
+                            if add_edge(load, s_prime, reason):
+                                added += 1
+                        if implied:
+                            # Every observer reaches this candidate's
+                            # group entry, hence every later one on the
+                            # chain: the rest would propose nothing.
+                            break
             stats.vc_queries += queries
             if not added:
                 return None
@@ -251,13 +297,15 @@ class VectorClockChecker:
         ordered before the observed store's group entry point."""
         out: List[int] = []
         chains = self._chains
+        to_col = chains.to_col
         vt_load = self._vec_to[load]
         vt_target = self._vec_to[target_first]
         queries = 0
         for chain, positions in chains.addr_stores.get(addr, ()):
             queries += 1
-            lo = vt_target[chain]
-            hi = vt_load[chain]
+            col = to_col[chain]
+            lo = vt_target[col]
+            hi = vt_load[col]
             if hi <= lo:
                 continue
             members = chains.nodes[chain]
@@ -265,26 +313,6 @@ class VectorClockChecker:
                                  bisect_right(positions, hi)]:
                 node = members[pos]
                 if node != target:
-                    out.append(node)
-        self._stats.vc_queries += queries
-        return out
-
-    def _r7_candidates(self, addr: int, store: int) -> List[int]:
-        """Same-address store successors of ``store`` (excluding it)."""
-        out: List[int] = []
-        chains = self._chains
-        vf = self._vec_from[store]
-        inf = self._inf
-        queries = 0
-        for chain, positions in chains.addr_stores.get(addr, ()):
-            queries += 1
-            lo = vf[chain]
-            if lo >= inf:
-                continue
-            members = chains.nodes[chain]
-            for pos in positions[bisect_left(positions, lo):]:
-                node = members[pos]
-                if node != store:
                     out.append(node)
         self._stats.vc_queries += queries
         return out
@@ -371,9 +399,10 @@ class VectorClockChecker:
     def _push_forward(self, u: int, v: int) -> None:
         """Propagate ``u``'s backward frontier into ``v``'s descendants.
 
-        One ``zip`` pass finds the entries that improve ``v``; each then
-        floods on its own as ``(children, chain, pos)`` frames, so a
-        child costs one integer compare.  Improved rows are stamped.
+        One ``zip`` pass finds the (projected) entries that improve
+        ``v``; each then floods on its own as ``(children, column, pos)``
+        frames, so a child costs one integer compare.  Improved rows are
+        stamped.
         """
         vec_to = self._vec_to
         moved = self._moved_to
@@ -381,19 +410,19 @@ class VectorClockChecker:
         succ = self._graph.succ
         vec = vec_to[v]
         stack = []
-        for chain, (pos, have) in enumerate(zip(vec_to[u], vec)):
+        for col, (pos, have) in enumerate(zip(vec_to[u], vec)):
             if pos > have:
-                vec[chain] = pos
+                vec[col] = pos
                 moved[v] = seq
-                stack.append((succ[v], chain, pos))
+                stack.append((succ[v], col, pos))
         while stack:
-            children, chain, pos = stack.pop()
+            children, col, pos = stack.pop()
             for child in children:
                 vec = vec_to[child]
-                if pos > vec[chain]:
-                    vec[chain] = pos
+                if pos > vec[col]:
+                    vec[col] = pos
                     moved[child] = seq
-                    stack.append((succ[child], chain, pos))
+                    stack.append((succ[child], col, pos))
 
     def _push_backward(self, u: int, v: int) -> None:
         """Propagate ``v``'s forward frontier into ``u``'s ancestors

@@ -1,5 +1,7 @@
 """Unit tests for the constraint graph: redirection, cycles, witnesses."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.graph import ConstraintGraph, CycleDetected
@@ -65,6 +67,32 @@ class TestAtomicRedirection:
         g.add_edge(a_load, b_store, R)
         # source -> last of A's group; dest -> first of B's group
         assert g.has_edge(a_store, b_load)
+
+
+class TestGrow:
+    @pytest.mark.parametrize("step", [1, 2, 3, 100])
+    def test_growing_in_steps_matches_construction(self, step):
+        # A live program grows op by op (the streaming checker) or in
+        # larger steps; chunk boundaries that split an atomic group must
+        # still leave every member redirected to the group's ends.
+        full = litmus_aprog(
+            "P0: S[A]#1 ; SWAP[B]=0,#2 ; L[A]=1\n"
+            "P1: SWAP[A]=1,#3 ; S[B]#4 ; SWAP[B]=4,#5"
+        )
+        live = dataclasses.replace(full, ops=[], groups={})
+        g = ConstraintGraph(live)
+        for start in range(0, full.n, step):
+            for op in full.ops[start:start + step]:
+                live.ops.append(op)
+                if op.group != -1:
+                    live.groups.setdefault(op.group, []).append(op.id)
+            g.grow()
+        batch = ConstraintGraph(full)
+        assert g.n == batch.n == full.n
+        assert g._group == batch._group
+        assert g._red_src == batch._red_src
+        assert g._red_dst == batch._red_dst
+        assert any(src != i for i, src in enumerate(batch._red_src))
 
 
 class TestCycles:

@@ -8,14 +8,16 @@ mechanisms that make the engine correct on their own:
   really are paths in the static constraint graph);
 * the frontier vectors (exact reachability, including after a batch of
   incremental insertions — the delta propagation must leave them
-  identical to a from-scratch closure of the final graph);
+  identical to a from-scratch closure of the final graph — and
+  ``vec_to`` kept on exactly the store-bearing chains);
 * Pearce–Kelly local reordering (the maintained order stays a valid
   topological order under adversarial back-edge insertions, and a
   cycle-closing edge raises with the edge recorded for the witness).
 
-A last class pins the fixed point's moved-frontier rescans and the
-per-entry flood to the plain formulation they speed up: the same edges
-in the same order, the same iterations and the same witnesses.
+A last class pins the fixed point's shortcuts — projected ``vec_to``
+rows, moved-frontier rescans, the R7 chain-scan cut and the per-entry
+flood — to the plain formulation they speed up: the same edges in the
+same order, the same iterations and the same witnesses.
 """
 
 import pytest
@@ -72,7 +74,8 @@ def _assert_topological(graph, ord_):
 
 def _assert_frontiers_exact(checker, graph):
     """Frontiers must answer reachability exactly like a from-scratch
-    closure of the graph as it stands now."""
+    closure of the graph as it stands now: ``vec_from`` through
+    ``_reaches``, and every kept ``vec_to`` column entry by entry."""
     order = topological_order(graph)
     assert order is not None
     reach_from, _ = compute_closure(graph, order)
@@ -80,6 +83,20 @@ def _assert_frontiers_exact(checker, graph):
         for v in range(graph.n):
             expected = bool((reach_from[u] >> v) & 1)
             assert checker._reaches(u, v) == expected, (u, v)
+    chains = checker._chains
+    for v in range(graph.n):
+        row = checker._vec_to[v]
+        assert len(row) == len(chains.store_chains), v
+        for col, chain in enumerate(chains.store_chains):
+            expected = max(
+                (
+                    pos
+                    for pos, node in enumerate(chains.nodes[chain])
+                    if (reach_from[node] >> v) & 1
+                ),
+                default=-1,
+            )
+            assert row[col] == expected, (v, chain)
 
 
 class TestChains:
@@ -140,6 +157,22 @@ class TestFrontiers:
     def test_initial_frontiers_match_closure(self):
         _, checker, graph = _prepared(MIXED)
         _assert_frontiers_exact(checker, graph)
+
+    @pytest.mark.parametrize("model", [TSO, PSO, SC], ids=lambda m: m.name)
+    def test_vec_to_keeps_only_store_bearing_chains(self, model):
+        aprog, checker, _ = _prepared(MIXED, model)
+        chains = checker._chains
+        store_bearing = sorted(
+            {chains.chain_of[op.id] for op in aprog.ops if op.is_store}
+        )
+        assert chains.store_chains == store_bearing
+        assert {len(row) for row in checker._vec_to} == {len(store_bearing)}
+        if model is SC:
+            # One program-order chain per processor, all holding stores.
+            assert len(store_bearing) == chains.k
+        else:
+            # The load/membar chains hold no stores.
+            assert len(store_bearing) < chains.k
 
     def test_frontiers_exact_after_incremental_insertions(self):
         aprog, checker, graph = _prepared(MIXED)
@@ -249,14 +282,56 @@ class TestReorder:
 
 
 class _RescanAll(VectorClockChecker):
-    """The fixed point without its shortcuts: every R6/R7 item is
-    rescanned each iteration, and each flood pushes one frame per
-    reached node carrying a list of ``(chain, pos)`` entries."""
+    """The fixed point without its shortcuts: ``vec_to`` rows one column
+    per chain (built by a plain DP of its own), R6 intervals read from
+    them on every chain, every R6/R7 item rescanned each iteration,
+    every R7 candidate tested against every observer, and each flood
+    pushing one frame per reached node carrying a list of
+    ``(chain, pos)`` entries.  ``r6_scans`` counts the R6 items
+    scanned."""
+
+    r6_scans = 0
+
+    def _init_state(self, graph, order):
+        super()._init_state(graph, order)
+        chains = self._chains
+        vec_to = [None] * graph.n
+        for node in order:
+            vec = [-1] * chains.k
+            for parent in graph.pred[node]:
+                vec = [max(a, b) for a, b in zip(vec, vec_to[parent])]
+            chain = chains.chain_of[node]
+            vec[chain] = max(vec[chain], chains.pos_of[node])
+            vec_to[node] = vec
+        self._vec_to = vec_to
+
+    def _r6_candidates(self, addr, load, target, target_first):
+        self.r6_scans += 1
+        chains = self._chains
+        vt_load = self._vec_to[load]
+        vt_target = self._vec_to[target_first]
+        out = []
+        for chain, positions in chains.addr_stores.get(addr, ()):
+            self._stats.vc_queries += 1
+            for pos in positions:
+                node = chains.nodes[chain][pos]
+                if vt_target[chain] < pos <= vt_load[chain] and node != target:
+                    out.append(node)
+        return out
+
+    def _r7_candidates(self, addr, store):
+        chains = self._chains
+        vf = self._vec_from[store]
+        out = []
+        for chain, positions in chains.addr_stores.get(addr, ()):
+            self._stats.vc_queries += 1
+            for pos in positions:
+                node = chains.nodes[chain][pos]
+                if pos >= vf[chain] and node != store:
+                    out.append(node)
+        return out
 
     def _fixed_point(self, aprog, graph, stats, prep):
-        chain_of = self._chains.chain_of
-        pos_of = self._chains.pos_of
-        vec_from = self._vec_from
         while True:
             stats.iterations += 1
             added = 0
@@ -271,15 +346,11 @@ class _RescanAll(VectorClockChecker):
                     )
                     if self._add_edge(s_prime, target, reason):
                         added += 1
-            queries = 0
             for store, addr, observers in prep.stores:
                 for s_prime in self._r7_candidates(addr, store):
                     first = prep.group_first[s_prime]
-                    queries += len(observers)
                     for load, load_last in observers:
-                        if vec_from[load_last][chain_of[first]] <= pos_of[
-                            first
-                        ]:
+                        if self._reaches(load_last, first):
                             continue
                         reason = EdgeReason(
                             "R7",
@@ -288,7 +359,6 @@ class _RescanAll(VectorClockChecker):
                         )
                         if self._add_edge(load, s_prime, reason):
                             added += 1
-            stats.vc_queries += queries
             if not added:
                 return None
             stats.inferred_edges += added
@@ -395,16 +465,38 @@ def _fingerprint(result):
     }
 
 
+class _CountingR6(VectorClockChecker):
+    """The shipped engine, counting the R6 items it scans."""
+
+    r6_scans = 0
+
+    def _r6_candidates(self, addr, load, target, target_first):
+        self.r6_scans += 1
+        return super()._r6_candidates(addr, load, target, target_first)
+
+
+#: One load (P1's) observes ``S[A]#1``, which has three same-address
+#: successors on P0's store chain, the first a swap's store half.  The
+#: load already reaches the swap's group entry (its load half, through
+#: ``S[A]#5``), so the shipped R7 scan of that chain stops at the swap.
+ATOMIC_SUCCESSORS = """
+P0: S[A]#1 ; SWAP[A]=5,#2 ; S[A]#3 ; S[A]#4
+P1: L[A]=1 ; S[A]#5
+"""
+
+
 class TestRescanExactness:
     @pytest.mark.parametrize("model", [TSO, PSO, SC], ids=lambda m: m.name)
     def test_matches_rescanning_every_item(self, model):
-        # Fewer queries can only come from skipped items.
+        # Fewer R6 scans can only come from skipped items.
         tally = {"passed": 0, "failed": 0, "skipped": 0, "late": 0}
         for aprog in _runs():
-            shipped = VectorClockChecker(model).run(aprog)
-            plain = _RescanAll(model).run(aprog)
+            shipped_checker = _CountingR6(model)
+            shipped = shipped_checker.run(aprog)
+            plain_checker = _RescanAll(model)
+            plain = plain_checker.run(aprog)
             assert _fingerprint(shipped) == _fingerprint(plain)
-            skipped = shipped.stats.vc_queries < plain.stats.vc_queries
+            skipped = shipped_checker.r6_scans < plain_checker.r6_scans
             tally["passed" if shipped.ok else "failed"] += 1
             tally["skipped"] += skipped
             tally["late"] += (
@@ -420,16 +512,37 @@ class TestRescanExactness:
     def test_full_rescan_after_pass_adds_nothing(self, model):
         checked = 0
         for aprog in _runs():
-            checker = VectorClockChecker(model)
-            result = checker.run(aprog)
+            result = VectorClockChecker(model).run(aprog)
             if not result.ok:
                 continue
+            # The plain fixed point over frontiers rebuilt from scratch
+            # on the shipped engine's final graph.
+            graph = result.graph
             stats = CheckStats(nodes=aprog.n)
-            edges = result.graph.edge_count
-            assert _RescanAll._fixed_point(
-                checker, aprog, result.graph, stats, prepare(aprog)
+            plain = _RescanAll(model)
+            plain._graph = graph
+            plain._stats = stats
+            plain._chains = _Chains(aprog, model)
+            plain._init_state(graph, topological_order(graph))
+            edges = graph.edge_count
+            assert plain._fixed_point(
+                aprog, graph, stats, prepare(aprog)
             ) is None
             assert (stats.iterations, stats.inferred_edges) == (1, 0)
-            assert result.graph.edge_count == edges
+            assert graph.edge_count == edges
             checked += 1
         assert checked
+
+    def test_r7_scan_stops_at_first_implied_successor(self):
+        aprog = litmus_aprog(ATOMIC_SUCCESSORS)
+        shipped = VectorClockChecker().run(aprog)
+        plain = _RescanAll().run(aprog)
+        assert shipped.ok
+        assert _fingerprint(shipped) == _fingerprint(plain)
+        # One pass that adds nothing: both engines scan every item once,
+        # so R6 and per-chain queries agree and the whole difference is
+        # R7 observer tests the cut skipped — ``S[A]#3`` and ``S[A]#4``
+        # after the swap (observer: P1's load), and ``S[A]#4`` after
+        # ``S[A]#3`` (observer: the swap's load half).
+        assert shipped.stats.iterations == plain.stats.iterations == 1
+        assert plain.stats.vc_queries - shipped.stats.vc_queries == 3
