@@ -63,11 +63,13 @@ class Chains:
     Each synthetic root store is its own singleton chain (roots are
     mutually unordered).
 
-    Consumed by the vc engine, whose ``vec_from`` rows carry one entry
-    per chain, whose ``vec_to`` rows carry one entry per store-bearing
-    chain (:attr:`store_chains`, columns :attr:`to_col`), and whose
-    R6/R7 candidate queries search the per-address store index
-    (:attr:`addr_stores`).
+    Consumed by the vc engine, whose ``vec_to`` and ``vec_from`` rows
+    both carry one entry per chain holding a non-root store
+    (:attr:`store_chains`, columns :attr:`to_col`), and whose R6/R7
+    candidate queries search the per-address store index
+    (:attr:`addr_stores`).  Root stores are left out of both: a root
+    is a source of every acyclic graph, so no R6 interval or R7 scan
+    can return one (see :mod:`repro.core.vc`).
     """
 
     def __init__(self, aprog: AnalysisProgram, model: MemoryModel) -> None:
@@ -112,20 +114,21 @@ class Chains:
                 for store in stores:
                     self._new_chain([store])
         self.k = len(self.nodes)
-        # Per-address store index: addr -> [(chain, sorted positions)],
-        # the slices every R6/R7 interval query searches.
+        # Per-address index of the non-root stores: addr -> [(chain,
+        # sorted positions)], the slices every R6/R7 interval query
+        # searches.
         self.addr_stores: Dict[int, List[Tuple[int, List[int]]]] = {}
         per_chain: Dict[Tuple[int, int], List[int]] = {}
         for op in aprog.ops:
-            if op.is_store:
+            if op.is_store and not op.is_root:
                 key = (op.addr, self.chain_of[op.id])
                 per_chain.setdefault(key, []).append(self.pos_of[op.id])
         for (addr, chain), positions in per_chain.items():
             positions.sort()
             self.addr_stores.setdefault(addr, []).append((chain, positions))
-        # The chains R6 reads ``vec_to`` on — those holding a store — in
-        # chain order; ``to_col[c]`` is chain ``c``'s column in the vc
-        # engine's projected ``vec_to`` rows (-1: not kept).
+        # The chains R6/R7 read frontiers on — those holding a non-root
+        # store — in chain order; ``to_col[c]`` is chain ``c``'s column
+        # in the vc engine's projected rows (-1: not kept).
         self.store_chains = sorted({chain for _, chain in per_chain})
         self.to_col = [-1] * self.k
         for col, chain in enumerate(self.store_chains):

@@ -36,13 +36,26 @@ the per-pass engines pay for repeatedly:
   stopping wherever nothing improves.  The full closure is built once,
   from the initial static + observed edges — ``closure_rebuilds`` stays
   at 1 however many fixed-point passes run.
-* **``vec_to`` is kept only where R6 reads it.**  R6 intervals read
-  ``vec_to`` on store-bearing chains only (under TSO the load/membar
-  chains hold no stores), and frontier entries evolve independently
-  per chain, so ``vec_to`` rows carry one column per store-bearing
-  chain (:attr:`repro.core.prep.Chains.to_col`) and the floods never
-  touch the rest.  ``vec_from`` stays full width: ``_reaches`` and the
-  R7 suppression test query it on every chain.
+* **Frontiers are kept only where R6/R7 read them.**  Frontier entries
+  evolve independently per chain, and every R6 interval, R7 scan bound
+  and R7 observer test reads an entry on the chain of a same-address
+  store candidate.  Root stores are never candidates: a root is a
+  source of every acyclic graph (no static edge points into it, and
+  every rule that can target it does so from a node the root already
+  reaches through its ``init`` edges), and the engine raises on the
+  first cycle, so a root reaches every R6 target's group entry (empty
+  interval) and is reached from no R7 store but itself.
+  Both ``vec_to`` and ``vec_from`` rows therefore carry one column per
+  chain holding a non-root store
+  (:attr:`repro.core.prep.Chains.to_col`) — under TSO not the
+  load/membar chains, under any model not the root singletons — and
+  the floods never touch the rest.  The R7 observer test asks whether
+  the observer's group exit reaches the candidate ``s'`` itself rather
+  than its group entry: for an observer outside ``s'``'s atomic group
+  the two agree (every external edge into a group lands on its first
+  node, and the group is internally chained), and an observer inside
+  it — a swap whose own store half is the candidate — never reaches
+  the group entry, so it is explicitly never "implied".
 * **Rescans follow moved frontiers.**  Each insertion stamps the rows
   it improves; a fixed-point pass rescans an R6 item only if its load's
   ``vec_to`` moved since the item's last scan (an R7 item: its store's
@@ -50,9 +63,9 @@ the per-pass engines pay for repeatedly:
   so the edges, their order and the iteration count are unchanged.
 * **R7 chain scans stop at the first implied successor.**  An R7
   item's candidates on one chain come in ascending position.  Once
-  every observer already reaches a candidate's group entry point, it
-  reaches every later candidate's too (the chain is a path, and every
-  external edge into an atomic group lands on its first node), and
+  every observer's test says "implied" for a candidate, it says so for
+  every later candidate too (the chain is a path, and an observer that
+  reaches a candidate cannot be a later one without a cycle), and
   reach only grows — the rest of that chain would propose nothing.
 
 Atomic-group redirection and the R5 ``S';L`` subtlety are inherited
@@ -177,11 +190,11 @@ class VectorClockChecker:
         """Build frontiers and the topological order in one DP pass.
 
         ``vec_to[v][to_col[c]]`` is the highest position in chain ``c``
-        whose member reaches ``v`` (-1: none), kept for store-bearing
-        chains only; ``vec_from[v][c]`` is the lowest position in chain
-        ``c`` reachable from ``v`` (``inf_pos``: none), kept for every
-        chain.  Both include ``v`` itself, mirroring the closure
-        engine's reach bitsets.
+        whose member reaches ``v`` (-1: none), and
+        ``vec_from[v][to_col[c]]`` the lowest position in chain ``c``
+        reachable from ``v`` (``_inf``: none), both kept only for the
+        chains holding a non-root store.  Both include ``v`` itself,
+        mirroring the closure engine's reach bitsets.
         ``_moved_to``/``_moved_from`` stamp each row with the ``_seq``
         of the last insertion that improved it.
         """
@@ -192,7 +205,7 @@ class VectorClockChecker:
         for index, node in enumerate(order):
             self._ord[node] = index
         self._vec_to, self._vec_from = build_frontiers_scalar(
-            n, chains.k, order, graph.pred, graph.succ,
+            n, order, graph.pred, graph.succ,
             chains.chain_of, chains.pos_of, chains.to_col,
         )
         self._seq = 0
@@ -210,14 +223,12 @@ class VectorClockChecker:
         stats: CheckStats,
         prep: EnginePrep,
     ) -> Optional[Violation]:
-        group_first = prep.group_first
-        # The observer-suppression test (``_reaches``) runs for every
-        # tested (R7 candidate, observer) pair — ~10^5 times at paper
-        # scale — so it is inlined here over hoisted locals, with the
-        # query count accumulated in bulk.
+        # The observer-suppression test runs for every tested (R7
+        # candidate, observer) pair — ~10^5 times at paper scale — so it
+        # is inlined here over hoisted locals, with the query count
+        # accumulated in bulk.
         chains = self._chains
-        chain_of = chains.chain_of
-        pos_of = chains.pos_of
+        to_col = chains.to_col
         addr_stores = chains.addr_stores
         chain_nodes = chains.nodes
         inf = self._inf
@@ -256,7 +267,8 @@ class VectorClockChecker:
                 vf = vec_from[store][:]
                 for chain, positions in addr_stores.get(addr, ()):
                     queries += 1
-                    lo = vf[chain]
+                    col = to_col[chain]
+                    lo = vf[col]
                     if lo >= inf:
                         continue
                     members = chain_nodes[chain]
@@ -264,14 +276,17 @@ class VectorClockChecker:
                         s_prime = members[pos]
                         if s_prime == store:
                             continue
-                        s_prime_first = group_first[s_prime]
-                        sp_chain = chain_of[s_prime_first]
-                        sp_pos = pos_of[s_prime_first]
                         queries += len(observers)
                         implied = True
                         for load, load_last in observers:
-                            if vec_from[load_last][sp_chain] <= sp_pos:
-                                continue  # redirected edge already implied
+                            # The redirected edge is implied when the
+                            # observer's group exit reaches s' — unless
+                            # it *is* s' (a swap observing ``store``
+                            # whose own store half is the candidate),
+                            # which never reaches its group entry.
+                            if (vec_from[load_last][col] <= pos
+                                    and load_last != s_prime):
+                                continue
                             implied = False
                             reason = EdgeReason(
                                 "R7",
@@ -281,9 +296,9 @@ class VectorClockChecker:
                             if add_edge(load, s_prime, reason):
                                 added += 1
                         if implied:
-                            # Every observer reaches this candidate's
-                            # group entry, hence every later one on the
-                            # chain: the rest would propose nothing.
+                            # Every observer reaches this candidate,
+                            # hence every later one on the chain: the
+                            # rest would propose nothing.
                             break
             stats.vc_queries += queries
             if not added:
@@ -316,12 +331,6 @@ class VectorClockChecker:
                     out.append(node)
         self._stats.vc_queries += queries
         return out
-
-    def _reaches(self, src: int, dst: int) -> bool:
-        """O(1) frontier query: is ``dst`` reachable from ``src``?"""
-        self._stats.vc_queries += 1
-        chains = self._chains
-        return self._vec_from[src][chains.chain_of[dst]] <= chains.pos_of[dst]
 
     # ------------------------------------------------------------------
     # Incremental edge insertion
@@ -433,19 +442,19 @@ class VectorClockChecker:
         pred = self._graph.pred
         vec = vec_from[u]
         stack = []
-        for chain, (pos, have) in enumerate(zip(vec_from[v], vec)):
+        for col, (pos, have) in enumerate(zip(vec_from[v], vec)):
             if pos < have:
-                vec[chain] = pos
+                vec[col] = pos
                 moved[u] = seq
-                stack.append((pred[u], chain, pos))
+                stack.append((pred[u], col, pos))
         while stack:
-            parents, chain, pos = stack.pop()
+            parents, col, pos = stack.pop()
             for parent in parents:
                 vec = vec_from[parent]
-                if pos < vec[chain]:
-                    vec[chain] = pos
+                if pos < vec[col]:
+                    vec[col] = pos
                     moved[parent] = seq
-                    stack.append((pred[parent], chain, pos))
+                    stack.append((pred[parent], col, pos))
 
     # ------------------------------------------------------------------
 

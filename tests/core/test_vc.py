@@ -8,29 +8,33 @@ mechanisms that make the engine correct on their own:
   really are paths in the static constraint graph);
 * the frontier vectors (exact reachability, including after a batch of
   incremental insertions — the delta propagation must leave them
-  identical to a from-scratch closure of the final graph — and
-  ``vec_to`` kept on exactly the store-bearing chains);
+  identical to a from-scratch closure of the final graph — and both
+  tables kept on exactly the chains holding a non-root store, which
+  rests on every root being a source of every acyclic graph);
 * Pearce–Kelly local reordering (the maintained order stays a valid
   topological order under adversarial back-edge insertions, and a
   cycle-closing edge raises with the edge recorded for the witness).
 
-A last class pins the fixed point's shortcuts — projected ``vec_to``
-rows, moved-frontier rescans, the R7 chain-scan cut and the per-entry
-flood — to the plain formulation they speed up: the same edges in the
-same order, the same iterations and the same witnesses.
+A last class pins the fixed point's shortcuts — projected frontier
+rows without root chains, the R7 observer test on the candidate itself,
+moved-frontier rescans, the R7 chain-scan cut and the per-entry flood —
+to the plain formulation they speed up: the same edges in the same
+order, the same iterations and the same witnesses.
 """
 
 import pytest
 
 from repro.core.closure import compute_closure, topological_order
 from repro.core.graph import ConstraintGraph, CycleDetected
-from repro.core.policy import PSO, SC, TSO, static_edges
+from repro.core.policy import PSO, SC, TSO, MemoryModel, static_edges
 from repro.core.prep import prepare
 from repro.core.result import CheckStats, EdgeReason
 from repro.core.vc import VectorClockChecker, _Chains
 from repro.generator.config import GeneratorConfig
 from repro.generator.generator import generate_program
-from repro.model.expansion import expand
+from repro.model.expansion import OpKind, expand
+from repro.model.ops import IStore, ISwap
+from repro.model.trace import DynRecord, Execution
 from repro.sim.faults import (
     AtomicityHoleFault,
     StaleForwardFault,
@@ -72,31 +76,34 @@ def _assert_topological(graph, ord_):
             assert ord_[u] < ord_[v], f"edge {u}->{v} violates the order"
 
 
-def _assert_frontiers_exact(checker, graph):
-    """Frontiers must answer reachability exactly like a from-scratch
-    closure of the graph as it stands now: ``vec_from`` through
-    ``_reaches``, and every kept ``vec_to`` column entry by entry."""
+def _reach_from(graph):
+    """Per-node reach bitsets of a from-scratch closure of ``graph``."""
     order = topological_order(graph)
     assert order is not None
-    reach_from, _ = compute_closure(graph, order)
-    for u in range(graph.n):
-        for v in range(graph.n):
-            expected = bool((reach_from[u] >> v) & 1)
-            assert checker._reaches(u, v) == expected, (u, v)
+    return compute_closure(graph, order)[0]
+
+
+def _assert_frontiers_exact(checker, graph):
+    """Both frontier tables must match a from-scratch closure of the
+    graph as it stands now, entry by entry on every kept column."""
+    reach_from = _reach_from(graph)
     chains = checker._chains
     for v in range(graph.n):
-        row = checker._vec_to[v]
-        assert len(row) == len(chains.store_chains), v
+        row_to = checker._vec_to[v]
+        row_from = checker._vec_from[v]
+        assert len(row_to) == len(row_from) == len(chains.store_chains), v
         for col, chain in enumerate(chains.store_chains):
-            expected = max(
-                (
-                    pos
-                    for pos, node in enumerate(chains.nodes[chain])
-                    if (reach_from[node] >> v) & 1
-                ),
+            members = list(enumerate(chains.nodes[chain]))
+            expected_to = max(
+                (pos for pos, node in members if (reach_from[node] >> v) & 1),
                 default=-1,
             )
-            assert row[col] == expected, (v, chain)
+            expected_from = min(
+                (pos for pos, node in members if (reach_from[v] >> node) & 1),
+                default=checker._inf,
+            )
+            assert row_to[col] == expected_to, (v, chain)
+            assert row_from[col] == expected_from, (v, chain)
 
 
 class TestChains:
@@ -134,7 +141,10 @@ class TestChains:
                     assert aprog.ops[node].is_store
                     assert aprog.ops[node].addr == addr
                     indexed.add(node)
-        assert indexed == {op.id for op in aprog.ops if op.is_store}
+        # Every real store, and no root (no R6/R7 query can return one).
+        assert indexed == {
+            op.id for op in aprog.ops if op.is_store and not op.is_root
+        }
 
     def test_sc_merges_each_processor_into_one_chain(self):
         aprog = litmus_aprog("P0: S[A]#1 ; L[A]=1 ; S[B]#2\nP1: L[B]=2")
@@ -160,19 +170,26 @@ class TestFrontiers:
 
     @pytest.mark.parametrize("model", [TSO, PSO, SC], ids=lambda m: m.name)
     def test_vec_to_keeps_only_store_bearing_chains(self, model):
+        # Both tables keep exactly the chains holding a non-root store.
         aprog, checker, _ = _prepared(MIXED, model)
         chains = checker._chains
-        store_bearing = sorted(
-            {chains.chain_of[op.id] for op in aprog.ops if op.is_store}
-        )
+        store_bearing = sorted({
+            chains.chain_of[op.id]
+            for op in aprog.ops
+            if op.is_store and not op.is_root
+        })
         assert chains.store_chains == store_bearing
         assert {len(row) for row in checker._vec_to} == {len(store_bearing)}
+        assert {len(row) for row in checker._vec_from} == {len(store_bearing)}
+        root_chains = {chains.chain_of[root] for root in aprog.roots.values()}
+        assert root_chains.isdisjoint(store_bearing)
         if model is SC:
-            # One program-order chain per processor, all holding stores.
-            assert len(store_bearing) == chains.k
+            # One program-order chain per processor, all holding stores:
+            # only the root singletons are dropped.
+            assert len(store_bearing) == chains.k - len(root_chains)
         else:
-            # The load/membar chains hold no stores.
-            assert len(store_bearing) < chains.k
+            # The load/membar chains and the root singletons are dropped.
+            assert len(store_bearing) < chains.k - len(root_chains)
 
     def test_frontiers_exact_after_incremental_insertions(self):
         aprog, checker, graph = _prepared(MIXED)
@@ -188,7 +205,7 @@ class TestFrontiers:
         ]
         inserted = 0
         for u, v in pairs:
-            if checker._reaches(v, u):
+            if (_reach_from(graph)[v] >> u) & 1:
                 continue  # would close a cycle; adversarial cases below
             checker._add_edge(u, v, R)
             inserted += 1
@@ -282,28 +299,60 @@ class TestReorder:
 
 
 class _RescanAll(VectorClockChecker):
-    """The fixed point without its shortcuts: ``vec_to`` rows one column
-    per chain (built by a plain DP of its own), R6 intervals read from
-    them on every chain, every R6/R7 item rescanned each iteration,
-    every R7 candidate tested against every observer, and each flood
-    pushing one frame per reached node carrying a list of
-    ``(chain, pos)`` entries.  ``r6_scans`` counts the R6 items
-    scanned."""
+    """The fixed point without its shortcuts, on a layout of its own:
+    ``vec_to`` and ``vec_from`` rows one column per chain, root chains
+    included (built by a plain DP), a per-address store index that
+    includes the roots, R6 intervals read on every indexed chain, the
+    R7 observer test run on the candidate's group entry, every R6/R7
+    item rescanned each iteration, every R7 candidate tested against
+    every observer, and each flood pushing one frame per reached node
+    carrying a list of ``(chain, pos)`` entries.  ``r6_scans`` counts
+    the R6 items scanned, ``r7_tests`` the R7 observer tests."""
 
     r6_scans = 0
+    r7_tests = 0
 
     def _init_state(self, graph, order):
-        super()._init_state(graph, order)
+        n = graph.n
         chains = self._chains
-        vec_to = [None] * graph.n
+        chain_of, pos_of, k = chains.chain_of, chains.pos_of, chains.k
+        self._inf = n + 1
+        self._ord = [0] * n
+        for index, node in enumerate(order):
+            self._ord[node] = index
+        self._seq = 0
+        vec_to = [None] * n
         for node in order:
-            vec = [-1] * chains.k
+            vec = [-1] * k
             for parent in graph.pred[node]:
                 vec = [max(a, b) for a, b in zip(vec, vec_to[parent])]
-            chain = chains.chain_of[node]
-            vec[chain] = max(vec[chain], chains.pos_of[node])
+            chain = chain_of[node]
+            vec[chain] = max(vec[chain], pos_of[node])
             vec_to[node] = vec
-        self._vec_to = vec_to
+        vec_from = [None] * n
+        for node in reversed(order):
+            vec = [self._inf] * k
+            for child in graph.succ[node]:
+                vec = [min(a, b) for a, b in zip(vec, vec_from[child])]
+            chain = chain_of[node]
+            vec[chain] = min(vec[chain], pos_of[node])
+            vec_from[node] = vec
+        self._vec_to, self._vec_from = vec_to, vec_from
+        per_chain = {}
+        for op in graph.aprog.ops:
+            if op.is_store:
+                key = (op.addr, chain_of[op.id])
+                per_chain.setdefault(key, []).append(pos_of[op.id])
+        self._store_index = {}
+        for (addr, chain), positions in per_chain.items():
+            self._store_index.setdefault(addr, []).append(
+                (chain, sorted(positions))
+            )
+
+    def _reaches(self, src, dst):
+        self._stats.vc_queries += 1
+        chains = self._chains
+        return self._vec_from[src][chains.chain_of[dst]] <= chains.pos_of[dst]
 
     def _r6_candidates(self, addr, load, target, target_first):
         self.r6_scans += 1
@@ -311,7 +360,7 @@ class _RescanAll(VectorClockChecker):
         vt_load = self._vec_to[load]
         vt_target = self._vec_to[target_first]
         out = []
-        for chain, positions in chains.addr_stores.get(addr, ()):
+        for chain, positions in self._store_index.get(addr, ()):
             self._stats.vc_queries += 1
             for pos in positions:
                 node = chains.nodes[chain][pos]
@@ -323,7 +372,7 @@ class _RescanAll(VectorClockChecker):
         chains = self._chains
         vf = self._vec_from[store]
         out = []
-        for chain, positions in chains.addr_stores.get(addr, ()):
+        for chain, positions in self._store_index.get(addr, ()):
             self._stats.vc_queries += 1
             for pos in positions:
                 node = chains.nodes[chain][pos]
@@ -350,6 +399,7 @@ class _RescanAll(VectorClockChecker):
                 for s_prime in self._r7_candidates(addr, store):
                     first = prep.group_first[s_prime]
                     for load, load_last in observers:
+                        self.r7_tests += 1
                         if self._reaches(load_last, first):
                             continue
                         reason = EdgeReason(
@@ -533,16 +583,116 @@ class TestRescanExactness:
             checked += 1
         assert checked
 
+    @pytest.mark.parametrize("model", [TSO, PSO, SC], ids=lambda m: m.name)
+    def test_roots_are_sources_of_passing_graphs(self, model):
+        # The premise of dropping the root chains: in every acyclic
+        # graph, no node but a root itself reaches the root.
+        checked = 0
+        for aprog in _runs():
+            result = VectorClockChecker(model).run(aprog)
+            if not result.ok:
+                continue
+            reach_from = _reach_from(result.graph)
+            roots = 0
+            for root in aprog.roots.values():
+                roots |= 1 << root
+            for node, reach in enumerate(reach_from):
+                assert reach & roots & ~(1 << node) == 0, node
+            checked += 1
+        assert checked
+
     def test_r7_scan_stops_at_first_implied_successor(self):
         aprog = litmus_aprog(ATOMIC_SUCCESSORS)
         shipped = VectorClockChecker().run(aprog)
-        plain = _RescanAll().run(aprog)
+        plain_checker = _RescanAll()
+        plain = plain_checker.run(aprog)
         assert shipped.ok
         assert _fingerprint(shipped) == _fingerprint(plain)
-        # One pass that adds nothing: both engines scan every item once,
-        # so R6 and per-chain queries agree and the whole difference is
-        # R7 observer tests the cut skipped — ``S[A]#3`` and ``S[A]#4``
-        # after the swap (observer: P1's load), and ``S[A]#4`` after
-        # ``S[A]#3`` (observer: the swap's load half).
-        assert shipped.stats.iterations == plain.stats.iterations == 1
-        assert plain.stats.vc_queries - shipped.stats.vc_queries == 3
+        # One pass that adds nothing: both engines test observers once
+        # per scanned candidate, and the whole difference is what the
+        # cut skipped — ``S[A]#3`` and ``S[A]#4`` after the swap
+        # (observer: P1's load), and ``S[A]#4`` after ``S[A]#3``
+        # (observer: the swap's load half).
+        assert plain_checker.r7_tests - _observer_tests(aprog, shipped) == 3
+
+
+def _observer_tests(aprog, result, model=TSO):
+    """The shipped engine's R7 observer tests in a one-pass check: its
+    ``vc_queries`` less the one probe per indexed chain that every
+    R6/R7 item makes."""
+    assert result.stats.iterations == 1
+    prep = prepare(aprog)
+    index = _Chains(aprog, model).addr_stores
+    items = [addr for _, addr, _, _ in prep.loads]
+    items += [addr for _, addr, _ in prep.stores]
+    probes = sum(len(index.get(addr, ())) for addr in items)
+    return result.stats.vc_queries - probes
+
+
+#: The swap's load half observes ``S[A]#1`` and its own store half is a
+#: same-address successor of ``S[A]#1``: the load's group exit *is* the
+#: candidate, yet never reaches the group entry, so the observer test
+#: must not call the edge implied.  P1's load, the other observer,
+#: already reaches the swap (through ``S[B]#5`` and ``L[B]=5``), so
+#: calling it implied would cut the scan before ``S[A]#3``.
+SAME_GROUP_OBSERVER = """
+P0: S[A]#1 ; L[B]=5 ; SWAP[A]=1,#2 ; S[A]#3
+P1: L[A]=1 ; S[B]#5
+"""
+
+#: A model that keeps load→load and store→store order but relaxes
+#: load→store, so an 8-byte swap's ``L2 -> S2`` is only implied through
+#: the group's internal chain (under TSO, PSO and SC it is also a static
+#: R1 edge).
+LOAD_STORE_RELAXED = MemoryModel(
+    "LSrelaxed", load_load=True, load_store=False, store_store=True,
+    store_load=False,
+)
+
+
+def _swap8_aprog():
+    """``P0: S[B]#7 ; SWAP8[A]`` whose second load half ``L2`` (word
+    ``B``) observes ``S[B]#7`` and whose store half ``S2`` (word ``B``)
+    is ``S[B]#7``'s same-address successor: groups ``[L1, L2, S1, S2]``,
+    where ``L2``'s group exit is ``S2`` itself."""
+    a = 0x40
+    store = IStore(addr=a + 4, size=4)
+    swap = ISwap(addr=a, size=8)
+    execution = Execution(records=[[
+        DynRecord(instr=store, stored=(7,)),
+        DynRecord(instr=swap, loaded=(0, 7), stored=(8, 9)),
+    ]])
+    return expand(execution, initial={}, word_names={a: "A", a + 4: "B"})
+
+
+class TestSameGroupObserver:
+    @pytest.mark.parametrize("model", [TSO, PSO, SC], ids=lambda m: m.name)
+    def test_swap_observing_its_predecessor(self, model):
+        aprog = litmus_aprog(SAME_GROUP_OBSERVER)
+        shipped = VectorClockChecker(model).run(aprog)
+        plain_checker = _RescanAll(model)
+        plain = plain_checker.run(aprog)
+        assert shipped.ok
+        assert _fingerprint(shipped) == _fingerprint(plain)
+        # Both observers are tested at the swap's store half and at
+        # ``S[A]#3``: the scan goes on past the same-group observer.
+        assert _observer_tests(aprog, shipped, model) == 4
+        assert plain_checker.r7_tests == 4
+
+    @pytest.mark.parametrize(
+        "model", [TSO, LOAD_STORE_RELAXED], ids=lambda m: m.name
+    )
+    def test_swap8_keeps_intra_group_r7_edge(self, model):
+        aprog = _swap8_aprog()
+        shipped = VectorClockChecker(model).run(aprog)
+        assert shipped.ok
+        assert _fingerprint(shipped) == _fingerprint(_RescanAll(model).run(aprog))
+        l2, s2 = (
+            next(op.id for op in aprog.ops if op.kind == kind and op.group != -1
+                 and op.addr == 0x44)
+            for kind in (OpKind.LOAD, OpKind.STORE)
+        )
+        rule = shipped.graph.reasons[(l2, s2)].rule
+        # The explicit edge the observer test must not suppress; under
+        # TSO the static R1 edge was there first.
+        assert rule == ("R1" if model is TSO else "R7")
