@@ -39,6 +39,9 @@ from repro.core.result import (
 )
 from repro.model.expansion import AnalysisProgram, OpKind
 
+#: One R4/R5 edge: (src, dst, reason, rule).
+ObservedEdge = Tuple[int, int, EdgeReason, str]
+
 
 def precheck_violation(aprog: AnalysisProgram) -> Optional[Violation]:
     """Turn expansion-time failures into a Violation (or None)."""
@@ -71,37 +74,88 @@ def po_prev_stores(aprog: AnalysisProgram) -> Dict[int, int]:
 
 def observed_edges(
     aprog: AnalysisProgram,
-) -> Iterable[Tuple[int, int, EdgeReason, str]]:
+) -> Iterable[ObservedEdge]:
     """Yield the R4/R5 edges ``(src, dst, reason, rule)`` for all loads."""
     prev_store = po_prev_stores(aprog)
     for op in aprog.ops:
         if not op.is_load:
             continue
-        load = op.id
         store = aprog.map_value(op.addr, op.value)
         if store is None:
             continue  # precheck failure already recorded
-        s_op = aprog.ops[store]
-        same_proc_earlier = (
-            s_op.proc == op.proc and not s_op.is_root and s_op.po < op.po
-        )
-        if not same_proc_earlier:
-            yield store, load, EdgeReason(
-                "R4",
-                f"{aprog.describe(load)} observed the value of "
-                f"{aprog.describe(store)}, which is not an earlier store of "
-                "the same processor, so the store must be globally visible "
-                "before the load binds (Value axiom)",
-            ), "R4"
-        s_prime = prev_store.get(load)
-        if s_prime is not None and s_prime != store:
-            yield s_prime, store, EdgeReason(
-                "R5",
-                f"{aprog.describe(load)} observed {aprog.describe(store)} "
-                f"despite the program-order-earlier {aprog.describe(s_prime)}; "
-                "by the Value axiom that earlier store must be globally "
-                "ordered before the observed one",
-            ), "R5"
+        yield from load_edges(aprog, op.id, store, prev_store.get(op.id))
+
+
+def load_edges(
+    aprog: AnalysisProgram, load: int, store: int, s_prime: Optional[int]
+) -> List[ObservedEdge]:
+    """The R4/R5 edges of one load that observed ``store``, where
+    ``s_prime`` is its last program-order-earlier same-address store."""
+    op = aprog.ops[load]
+    s_op = aprog.ops[store]
+    out: List[ObservedEdge] = []
+    if not (s_op.proc == op.proc and not s_op.is_root and s_op.po < op.po):
+        out.append((store, load, EdgeReason(
+            "R4",
+            f"{aprog.describe(load)} observed the value of "
+            f"{aprog.describe(store)}, which is not an earlier store of "
+            "the same processor, so the store must be globally visible "
+            "before the load binds (Value axiom)",
+        ), "R4"))
+    if s_prime is not None and s_prime != store:
+        out.append((s_prime, store, EdgeReason(
+            "R5",
+            f"{aprog.describe(load)} observed {aprog.describe(store)} "
+            f"despite the program-order-earlier {aprog.describe(s_prime)}; "
+            "by the Value axiom that earlier store must be globally "
+            "ordered before the observed one",
+        ), "R5"))
+    return out
+
+
+def r6_reason(s_prime: int, load: int, target: int) -> EdgeReason:
+    """Why R6 orders ``s_prime`` before ``target`` (closure/vc/stream)."""
+    return EdgeReason(
+        "R6",
+        f"store n{s_prime} precedes load n{load}, which "
+        f"observed store n{target} (Value axiom)",
+    )
+
+
+def r7_reason(load: int, store: int, s_prime: int) -> EdgeReason:
+    """Why R7 orders ``load`` before ``s_prime`` (closure/vc/stream)."""
+    return EdgeReason(
+        "R7",
+        f"load n{load} observed store n{store}, which "
+        f"precedes store n{s_prime} (Value axiom)",
+    )
+
+
+def cycle_violation(
+    aprog: AnalysisProgram,
+    graph: ConstraintGraph,
+    exc: Optional[CycleDetected] = None,
+) -> Optional[Violation]:
+    """The cycle witness every engine reports: the cycle through the
+    edge that closed it (``exc``), or else any cycle of ``graph``
+    (``None`` if it has none), with one reason per edge."""
+    if exc is None:
+        cycle = graph.find_cycle()
+        if cycle is None:
+            return None
+    else:
+        cycle = graph.cycle_through_edge(exc.u, exc.v)
+    return Violation(
+        kind=ViolationKind.CYCLE,
+        message=(
+            f"the inferred global memory order contains a cycle of "
+            f"{len(cycle)} operation(s): "
+            + " <= ".join(aprog.describe(n) for n in cycle)
+            + f" <= {aprog.describe(cycle[0])}"
+        ),
+        cycle=cycle,
+        reasons=graph.cycle_reasons(cycle),
+    )
 
 
 class BaselineChecker:
@@ -168,7 +222,7 @@ class BaselineChecker:
         prep = prepare(aprog)
 
         # Cycle may already exist from static + observed edges.
-        violation = self._cycle_violation(aprog, graph)
+        violation = cycle_violation(aprog, graph)
         if violation is not None:
             return violation
 
@@ -182,7 +236,7 @@ class BaselineChecker:
                 changed |= self._apply_r7(
                     aprog, graph, stats, store, addr, observers
                 )
-            violation = self._cycle_violation(aprog, graph)
+            violation = cycle_violation(aprog, graph)
             if violation is not None:
                 return violation
         return None
@@ -277,24 +331,6 @@ class BaselineChecker:
                     nxt.append(child)
             frontier = nxt
         return order
-
-    def _cycle_violation(
-        self, aprog: AnalysisProgram, graph: ConstraintGraph
-    ) -> Optional[Violation]:
-        cycle = graph.find_cycle()
-        if cycle is None:
-            return None
-        return Violation(
-            kind=ViolationKind.CYCLE,
-            message=(
-                f"the inferred global memory order contains a cycle of "
-                f"{len(cycle)} operation(s): "
-                + " <= ".join(aprog.describe(n) for n in cycle)
-                + f" <= {aprog.describe(cycle[0])}"
-            ),
-            cycle=cycle,
-            reasons=graph.cycle_reasons(cycle),
-        )
 
     def _self_loop_violation(
         self, aprog: AnalysisProgram, graph: ConstraintGraph, exc: CycleDetected

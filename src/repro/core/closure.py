@@ -34,17 +34,17 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro import telemetry
-from repro.core.checker import observed_edges, precheck_violation
+from repro.core.checker import (
+    cycle_violation,
+    observed_edges,
+    precheck_violation,
+    r6_reason,
+    r7_reason,
+)
 from repro.core.graph import ConstraintGraph, CycleDetected
 from repro.core.policy import MemoryModel, TSO, static_edges
 from repro.core.prep import iter_bits, prepare
-from repro.core.result import (
-    CheckResult,
-    CheckStats,
-    EdgeReason,
-    Violation,
-    ViolationKind,
-)
+from repro.core.result import CheckResult, CheckStats, EdgeReason, Violation
 from repro.model.expansion import AnalysisProgram
 
 
@@ -154,11 +154,11 @@ class ClosureChecker:
                     else:
                         stats.observed_edges += 1
         except CycleDetected as exc:
-            return self._violation(aprog, graph, exc)
+            return cycle_violation(aprog, graph, exc)
 
         order = topological_order(graph)
         if order is None:
-            return self._found_cycle(aprog, graph)
+            return cycle_violation(aprog, graph)
         if not self.inferred_rules:
             return None
         reach_from, reach_to = compute_closure(graph, order)
@@ -186,12 +186,9 @@ class ClosureChecker:
                         (1 << target) | reach_to[target_first]
                     )
                     for s_prime in iter_bits(candidates):
-                        reason = EdgeReason(
-                            "R6",
-                            f"store n{s_prime} precedes load n{load}, which "
-                            f"observed store n{target} (Value axiom)",
-                        )
-                        if graph.add_edge(s_prime, target, reason):
+                        if graph.add_edge(
+                            s_prime, target, r6_reason(s_prime, load, target)
+                        ):
                             added += 1
                 for store, addr, observers in stores:
                     candidates = reach_from[store] & stores_at[addr] & ~(1 << store)
@@ -200,54 +197,17 @@ class ClosureChecker:
                         for load, load_last in observers:
                             if (reach_from[load_last] >> s_prime_first) & 1:
                                 continue  # redirected edge already implied
-                            reason = EdgeReason(
-                                "R7",
-                                f"load n{load} observed store n{store}, which "
-                                f"precedes store n{s_prime} (Value axiom)",
-                            )
-                            if graph.add_edge(load, s_prime, reason):
+                            if graph.add_edge(
+                                load, s_prime, r7_reason(load, store, s_prime)
+                            ):
                                 added += 1
             except CycleDetected as exc:
-                return self._violation(aprog, graph, exc)
+                return cycle_violation(aprog, graph, exc)
             if not added:
                 return None
             stats.inferred_edges += added
             order = topological_order(graph)
             if order is None:
-                return self._found_cycle(aprog, graph)
+                return cycle_violation(aprog, graph)
             reach_from, reach_to = compute_closure(graph, order)
             stats.closure_rebuilds += 1
-
-    # ------------------------------------------------------------------
-
-    def _found_cycle(
-        self, aprog: AnalysisProgram, graph: ConstraintGraph
-    ) -> Violation:
-        cycle = graph.find_cycle()
-        assert cycle is not None
-        return self._cycle_violation(aprog, graph, cycle)
-
-    def _violation(
-        self, aprog: AnalysisProgram, graph: ConstraintGraph, exc: CycleDetected
-    ) -> Violation:
-        """Build a cycle witness from the edge that closed the cycle."""
-        if exc.u == exc.v:
-            cycle = [exc.u]
-        else:
-            cycle = graph.cycle_through_edge(exc.u, exc.v)
-        return self._cycle_violation(aprog, graph, cycle)
-
-    def _cycle_violation(
-        self, aprog: AnalysisProgram, graph: ConstraintGraph, cycle: List[int]
-    ) -> Violation:
-        return Violation(
-            kind=ViolationKind.CYCLE,
-            message=(
-                f"the inferred global memory order contains a cycle of "
-                f"{len(cycle)} operation(s): "
-                + " <= ".join(aprog.describe(n) for n in cycle)
-                + f" <= {aprog.describe(cycle[0])}"
-            ),
-            cycle=cycle,
-            reasons=graph.cycle_reasons(cycle),
-        )

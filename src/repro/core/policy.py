@@ -14,20 +14,21 @@ the initial set of edges determined from program order and the
 application of the remaining rules remains the same" — this module is
 that difference).
 
-:func:`static_edges` walks each processor's op stream once, emitting edges
-from the *latest* op of each kind, which suffices because transitivity
-chains earlier same-kind ops through the latest one whenever same-kind
-pairs are themselves ordered.  The one case where they are not — stores
-under PSO — is handled by remembering every store since the last barrier
-and draining the whole set into the barrier.
+:func:`static_edges` walks each processor's op stream once with a
+:class:`ProgramOrder` tracker, emitting edges from the *latest* op of
+each kind, which suffices because transitivity chains earlier same-kind
+ops through the latest one whenever same-kind pairs are themselves
+ordered.  The one case where they are not — stores under PSO — is
+handled by remembering every store since the last barrier and draining
+the whole set into the barrier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.model.expansion import NO_GROUP, AnalysisProgram, OpKind
+from repro.model.expansion import AnalysisOp, AnalysisProgram, OpKind
 
 
 @dataclass(frozen=True)
@@ -68,19 +69,6 @@ SC = MemoryModel("SC", load_load=True, load_store=True, store_store=True,
 PSO = MemoryModel("PSO", load_load=True, load_store=True, store_store=False,
                   store_load=False)
 
-#: Edge reasons for static edges, keyed by (pred kind, succ kind).
-_RULE_NAMES = {
-    (OpKind.LOAD, OpKind.LOAD): "R1",
-    (OpKind.LOAD, OpKind.STORE): "R1",
-    (OpKind.LOAD, OpKind.MEMBAR): "R1",
-    (OpKind.STORE, OpKind.STORE): "R2",
-    (OpKind.STORE, OpKind.LOAD): "R2",   # SC-only store->load program order
-    (OpKind.STORE, OpKind.MEMBAR): "R3",
-    (OpKind.MEMBAR, OpKind.LOAD): "R3",
-    (OpKind.MEMBAR, OpKind.STORE): "R3",
-    (OpKind.MEMBAR, OpKind.MEMBAR): "R3",
-}
-
 StaticEdge = Tuple[int, int, str]
 
 
@@ -99,52 +87,83 @@ def static_edges(aprog: AnalysisProgram, model: MemoryModel) -> Iterator[StaticE
     yield from _root_edges(aprog)
 
 
+class ProgramOrder:
+    """One processor's R1–R3 rules: fed its ops in program order, it
+    returns each op's program-order in-edges.
+
+    :func:`static_edges` drives one per processor over a whole program;
+    the stream engine drives one op at a time as records arrive.
+    :attr:`last_store_to` is the last store to each address so far —
+    the R5 ``S'`` of a load that follows.
+    """
+
+    __slots__ = (
+        "model", "last_load", "last_store", "last_membar",
+        "unordered_stores", "last_store_to",
+    )
+
+    def __init__(self, model: MemoryModel) -> None:
+        self.model = model
+        self.last_load: Optional[int] = None
+        self.last_store: Optional[int] = None
+        self.last_membar: Optional[int] = None
+        #: Stores since the last membar (store_store-relaxed models only).
+        self.unordered_stores: List[int] = []
+        self.last_store_to: Dict[int, int] = {}
+
+    def in_edges(self, op: AnalysisOp) -> List[StaticEdge]:
+        """The program-order edges into ``op``; then record it."""
+        model = self.model
+        op_id = op.id
+        kind = op.kind
+        out: List[StaticEdge] = []
+        if kind == OpKind.LOAD:
+            if model.load_load and self.last_load is not None:
+                out.append((self.last_load, op_id, "R1"))
+            if model.store_load and self.last_store is not None:
+                out.append((self.last_store, op_id, "R2"))
+            if self.last_membar is not None:
+                out.append((self.last_membar, op_id, "R3"))
+            self.last_load = op_id
+        elif kind == OpKind.STORE:
+            if model.load_store and self.last_load is not None:
+                out.append((self.last_load, op_id, "R1"))
+            if model.store_store and self.last_store is not None:
+                out.append((self.last_store, op_id, "R2"))
+            if self.last_membar is not None:
+                out.append((self.last_membar, op_id, "R3"))
+            if not model.store_store:
+                self.unordered_stores.append(op_id)
+                if model.same_addr_store_store:
+                    # Per-location coherence survives the relaxation.
+                    prev_same = self.last_store_to.get(op.addr)
+                    if prev_same is not None:
+                        out.append((prev_same, op_id, "R2"))
+            self.last_store_to[op.addr] = op_id
+            self.last_store = op_id
+        else:  # MEMBAR orders everything before it against everything after
+            if self.last_load is not None:
+                out.append((self.last_load, op_id, "R3"))
+            if model.store_store:
+                if self.last_store is not None:
+                    out.append((self.last_store, op_id, "R3"))
+            else:
+                out.extend((store, op_id, "R3") for store in self.unordered_stores)
+                self.unordered_stores.clear()
+            if self.last_membar is not None:
+                out.append((self.last_membar, op_id, "R3"))
+            self.last_membar = op_id
+        return out
+
+
 def _program_order_edges(
     aprog: AnalysisProgram, model: MemoryModel
 ) -> Iterator[StaticEdge]:
+    ops = aprog.ops
     for stream in aprog.per_proc:
-        last_load = last_store = last_membar = None
-        unordered_stores = []  # only populated when store_store is relaxed
-        last_store_to_addr = {}  # ditto: per-location coherence edges
+        tracker = ProgramOrder(model)
         for op_id in stream:
-            op = aprog.ops[op_id]
-            kind = op.kind
-            if kind == OpKind.LOAD:
-                if model.load_load and last_load is not None:
-                    yield last_load, op_id, _RULE_NAMES[(OpKind.LOAD, kind)]
-                if model.store_load and last_store is not None:
-                    yield last_store, op_id, _RULE_NAMES[(OpKind.STORE, kind)]
-                if last_membar is not None:
-                    yield last_membar, op_id, _RULE_NAMES[(OpKind.MEMBAR, kind)]
-                last_load = op_id
-            elif kind == OpKind.STORE:
-                if model.load_store and last_load is not None:
-                    yield last_load, op_id, _RULE_NAMES[(OpKind.LOAD, kind)]
-                if model.store_store and last_store is not None:
-                    yield last_store, op_id, _RULE_NAMES[(OpKind.STORE, kind)]
-                if last_membar is not None:
-                    yield last_membar, op_id, _RULE_NAMES[(OpKind.MEMBAR, kind)]
-                if not model.store_store:
-                    unordered_stores.append(op_id)
-                    if model.same_addr_store_store:
-                        prev_same = last_store_to_addr.get(op.addr)
-                        if prev_same is not None:
-                            yield prev_same, op_id, "R2"
-                        last_store_to_addr[op.addr] = op_id
-                last_store = op_id
-            else:  # MEMBAR orders everything before it against everything after
-                if last_load is not None:
-                    yield last_load, op_id, "R3"
-                if model.store_store:
-                    if last_store is not None:
-                        yield last_store, op_id, "R3"
-                else:
-                    for store in unordered_stores:
-                        yield store, op_id, "R3"
-                    unordered_stores.clear()
-                if last_membar is not None:
-                    yield last_membar, op_id, "R3"
-                last_membar = op_id
+            yield from tracker.in_edges(ops[op_id])
 
 
 def _group_chain_edges(aprog: AnalysisProgram) -> Iterator[StaticEdge]:

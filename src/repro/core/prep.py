@@ -13,10 +13,10 @@ the single home for all of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.policy import MemoryModel
-from repro.model.expansion import AnalysisProgram, OpKind
+from repro.model.expansion import ROOT_PROC, AnalysisOp, AnalysisProgram, OpKind
 
 #: One R6 work item: (load id, word address, observed store,
 #: group-first node of the observed store — where redirected incoming
@@ -28,6 +28,9 @@ LoadItem = Tuple[int, int, int, int]
 #: edges actually leave from) pairs).
 StoreItem = Tuple[int, int, List[Tuple[int, int]]]
 
+#: A chain's identity (see :func:`chain_key`).
+ChainKey = Tuple[int, ...]
+
 
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
@@ -37,18 +40,14 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class Chains:
-    """A chain decomposition of the analysis nodes, derived from the
-    memory model's static guarantees.
+def chain_key(
+    model: MemoryModel, proc: int, kind: OpKind, addr: int, po: int
+) -> ChainKey:
+    """The chain an op belongs to under ``model``: the one chain rule.
 
-    Every node belongs to exactly one chain, and consecutive members of
-    a chain are always ordered by the static edges (directly, or through
-    their atomic group's internal ``atomic`` chain after redirection).
-    That path property is what makes a frontier entry exact: if chain
-    member ``c[i]`` reaches ``v``, so does every ``c[j]`` with
-    ``j < i``.
-
-    The decomposition, per processor:
+    Consecutive members of a chain are always ordered by the static
+    edges (directly, or through their atomic group's internal
+    ``atomic`` chain after redirection).  Per processor:
 
     * loads and membars in program order (``load_load`` models — all
       shipped ones; otherwise membars chain alone and loads are
@@ -61,87 +60,109 @@ class Chains:
     * singleton chains otherwise.
 
     Each synthetic root store is its own singleton chain (roots are
-    mutually unordered).
+    mutually unordered).  Keys sort roots first, by address, then by
+    processor, each processor's load/membar chain before its stores.
+    """
+    if proc == ROOT_PROC:
+        return (ROOT_PROC, addr)
+    if (model.load_load and model.load_store
+            and model.store_store and model.store_load):
+        return (proc, 0)
+    if kind != OpKind.STORE:
+        if model.load_load or kind == OpKind.MEMBAR:
+            return (proc, 0)
+        return (proc, 1, po)
+    if model.store_store:
+        return (proc, 2)
+    if model.same_addr_store_store:
+        return (proc, 2, addr)
+    return (proc, 3, po)
 
-    Consumed by the vc engine, whose ``vec_to`` and ``vec_from`` rows
-    both carry one entry per chain holding a non-root store
-    (:attr:`store_chains`, columns :attr:`to_col`), and whose R6/R7
-    candidate queries search the per-address store index
-    (:attr:`addr_stores`).  Root stores are left out of both: a root
-    is a source of every acyclic graph, so no R6 interval or R7 scan
-    can return one (see :mod:`repro.core.vc`).
+
+class Chains:
+    """A chain decomposition of the analysis nodes (see
+    :func:`chain_key`), with the per-address store index the R6/R7
+    queries search.
+
+    Every chain is a path of static edges, which is what makes a
+    frontier entry exact: if chain member ``c[i]`` reaches ``v``, so
+    does every ``c[j]`` with ``j < i``.  The vc and stream engines keep
+    ``vec_to`` and ``vec_from`` rows with one entry per *column* chain
+    (:attr:`to_col`; -1: no column), and their R6/R7 candidate queries
+    search :attr:`addr_stores`.  Root stores are left out of both: a
+    root is a source of every acyclic graph, so no R6 interval or R7
+    scan can return one (see :mod:`repro.core.vc`).
+
+    Built over a whole program, the columns are the chains holding a
+    non-root store (:attr:`store_chains`).  A stream passes the keys of
+    every chain that can ever hold one as ``columns`` instead: the
+    chains then start empty, and it appends each op (roots first) with
+    :meth:`add` as it arrives.
     """
 
-    def __init__(self, aprog: AnalysisProgram, model: MemoryModel) -> None:
-        n = aprog.n
+    def __init__(
+        self,
+        aprog: AnalysisProgram,
+        model: MemoryModel,
+        columns: Optional[Iterable[ChainKey]] = None,
+    ) -> None:
+        self.model = model
         self.nodes: List[List[int]] = []
-        self.chain_of = [0] * n
-        self.pos_of = [0] * n
-        for addr in sorted(aprog.roots):
-            self._new_chain([aprog.roots[addr]])
-        full_po = (
-            model.load_load and model.load_store
-            and model.store_store and model.store_load
-        )
-        for stream in aprog.per_proc:
-            if full_po:
-                self._new_chain(list(stream))
-                continue
-            ops = aprog.ops
-            if model.load_load:
-                self._new_chain([
-                    op_id for op_id in stream
-                    if ops[op_id].kind != OpKind.STORE
-                ])
-            else:
-                self._new_chain([
-                    op_id for op_id in stream
-                    if ops[op_id].kind == OpKind.MEMBAR
-                ])
-                for op_id in stream:
-                    if ops[op_id].kind == OpKind.LOAD:
-                        self._new_chain([op_id])
-            stores = [op_id for op_id in stream if ops[op_id].is_store]
-            if model.store_store:
-                self._new_chain(stores)
-            elif model.same_addr_store_store:
-                by_addr: Dict[int, List[int]] = {}
-                for store in stores:
-                    by_addr.setdefault(ops[store].addr, []).append(store)
-                for addr in sorted(by_addr):
-                    self._new_chain(by_addr[addr])
-            else:
-                for store in stores:
-                    self._new_chain([store])
-        self.k = len(self.nodes)
-        # Per-address index of the non-root stores: addr -> [(chain,
-        # sorted positions)], the slices every R6/R7 interval query
-        # searches.
+        self.chain_of: List[int] = []
+        self.pos_of: List[int] = []
+        self.to_col: List[int] = []
+        #: addr -> [(chain, ascending positions of its non-root stores)].
         self.addr_stores: Dict[int, List[Tuple[int, List[int]]]] = {}
-        per_chain: Dict[Tuple[int, int], List[int]] = {}
-        for op in aprog.ops:
-            if op.is_store and not op.is_root:
-                key = (op.addr, self.chain_of[op.id])
-                per_chain.setdefault(key, []).append(self.pos_of[op.id])
-        for (addr, chain), positions in per_chain.items():
-            positions.sort()
-            self.addr_stores.setdefault(addr, []).append((chain, positions))
-        # The chains R6/R7 read frontiers on — those holding a non-root
-        # store — in chain order; ``to_col[c]`` is chain ``c``'s column
-        # in the vc engine's projected rows (-1: not kept).
-        self.store_chains = sorted({chain for _, chain in per_chain})
-        self.to_col = [-1] * self.k
+        self._ids: Dict[ChainKey, int] = {}
+        self._positions: Dict[Tuple[int, int], List[int]] = {}
+        ops = aprog.ops if columns is None else ()
+        keys = [chain_key(model, op.proc, op.kind, op.addr, op.po) for op in ops]
+        for key in sorted(set(keys).union(columns or ())):
+            self._new_chain(key)
+        for op, key in zip(ops, keys):
+            self._append(op, key)
+        if columns is None:
+            chains = {c for index in self.addr_stores.values() for c, _ in index}
+        else:
+            chains = {self._ids[key] for key in columns}
+        #: The column chains, in chain order; ``to_col[c]`` is chain
+        #: ``c``'s column.
+        self.store_chains = sorted(chains)
         for col, chain in enumerate(self.store_chains):
             self.to_col[chain] = col
 
-    def _new_chain(self, members: List[int]) -> None:
-        if not members:
-            return
-        chain = len(self.nodes)
-        self.nodes.append(members)
-        for pos, node in enumerate(members):
-            self.chain_of[node] = chain
-            self.pos_of[node] = pos
+    @property
+    def k(self) -> int:
+        """Number of chains."""
+        return len(self.nodes)
+
+    def add(self, op: AnalysisOp) -> None:
+        """Append the next op (ids in order) to its chain."""
+        self._append(op, chain_key(self.model, op.proc, op.kind, op.addr, op.po))
+
+    def _new_chain(self, key: ChainKey) -> int:
+        chain = self._ids[key] = len(self.nodes)
+        self.nodes.append([])
+        self.to_col.append(-1)
+        return chain
+
+    def _append(self, op: AnalysisOp, key: ChainKey) -> None:
+        chain = self._ids.get(key)
+        if chain is None:
+            chain = self._new_chain(key)
+        members = self.nodes[chain]
+        pos = len(members)
+        members.append(op.id)
+        self.chain_of.append(chain)
+        self.pos_of.append(pos)
+        if op.is_store and not op.is_root:
+            positions = self._positions.get((op.addr, chain))
+            if positions is None:
+                positions = self._positions[(op.addr, chain)] = []
+                self.addr_stores.setdefault(op.addr, []).append(
+                    (chain, positions)
+                )
+            positions.append(pos)
 
 
 @dataclass

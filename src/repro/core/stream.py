@@ -1,96 +1,72 @@
 """The streaming online checker: check operations as the machine emits them.
 
-TSOtool's pipeline (PAPER.md Sec. 2) is run-to-completion-then-check:
-the simulator finishes, the whole :class:`~repro.model.trace.Execution`
-is expanded, and only then does analysis start.  That caps soak-run
-length twice over — the trace must fit in memory, and a violation in the
-first minute is reported only after the last.  The vc engine
-(:mod:`repro.core.vc`) removed the algorithmic obstacle: per-chain
-frontier vectors plus Pearce–Kelly online topological reordering are
-*already* incremental.  This module restructures them into a checker
-that consumes one dynamic record at a time:
+TSOtool's pipeline (PAPER.md Sec. 2) expands the whole execution before
+analysis starts, so the trace must fit in memory and a violation in the
+first minute is reported only after the last.  The vc engine's core
+(:class:`repro.core.vc.FrontierCore`: frontier rows and their floods, a
+Pearce–Kelly online order, the R6/R7 scans) is already incremental, and
+this module is a thin online driver over it:
 
-* a :class:`StreamSession` accepts ``feed(pid, record)`` calls (wired to
-  the simulator through :class:`~repro.sim.machine.TsoMachine`'s
-  ``observer`` hook — see :func:`stream_check_machine`), expands each
-  record incrementally (:class:`~repro.model.expansion.StreamExpander`),
-  and appends the resulting nodes and static/observed edges to the live
-  :class:`~repro.core.graph.ConstraintGraph`;
-* R6/R7 inference runs as a *dirty-set* fixed point: a work item re-runs
-  only when something that can grow its candidate set changed (its
-  frontier vector improved, an observer arrived, a same-address store
-  was admitted).  Because the rules are monotone, draining the dirty set
-  to quiescence reaches the same least fixed point as the batch engines'
-  iterate-everything passes;
-* a cycle is reported **at the op that closes it** — ``feed`` returns
-  the violation the moment the closing edge is inserted, with the same
-  cycle witness the batch engines produce — instead of at end of run.
+* a :class:`StreamSession` expands each fed record
+  (:class:`~repro.model.expansion.StreamExpander`) and admits its ops:
+  each joins its chain (:meth:`repro.core.prep.Chains.add`) and gets
+  its :class:`~repro.core.policy.ProgramOrder`, ``atomic`` and ``init``
+  edges.  :func:`stream_check_machine` feeds it from the simulator;
+* at each record boundary loads meet the stores whose value they read
+  (or wait until it arrives): R4/R5 edges from
+  :func:`repro.core.checker.load_edges`, an R6 item per load, an R7
+  item per observed store;
+* a dirty-set drain rescans an item in full when the floods moved its
+  row (they record moved rows in a dict) or it is new or gained an
+  observer, and a new same-address store is tested on its own against
+  the observers of each R7 item whose store reaches its chain.  The
+  rules are monotone, so quiescence is the batch fixed point;
+* a cycle is reported **at the op that closes it**, with the witness of
+  :func:`repro.core.checker.cycle_violation`.
 
-**Frontier retirement** is what bounds live state (the windowed
-verification idea of Bui et al., PAPERS.md).  Once a node is ``window``
-admitted-ops old and no future R6/R7 candidate interval can be required
-to reach back to it, its two O(k) frontier vectors are dropped:
+Rows have vc's layout, with one column per chain that can hold a
+non-root store of a declared processor (under TSO, its store chain).
 
-* roots never retire (their initial value stays observable forever);
-* the newest store to each address is pinned while it remains newest
-  (its value is still observable); a superseded store retires only once
-  its superseder is a full window old (a straggling load may still
-  legally observe the old value until then);
-* an unresolved load (no matching store fed yet) is pinned until it
-  resolves, then gets a fresh window;
-* everything else retires at window age.
-
-Only the vectors are dropped.  The graph adjacency, edge reasons, chain
-positions and topological order are kept, so cycle *detection* and the
-witness stay exact across retired epochs — a violation whose closing
-edge reaches back arbitrarily far is still caught and explained.  Where
-inference would need a retired vector, the checker substitutes a
-conservative bound (an unknown R6 interval floor widens to "everything";
-an unknown R7 suppression check admits the edge).  Both substitutions
-can only add edges the batch engines would also derive transitively, so
-the engine stays sound: it never flags an execution the batch engines
-pass.  What retirement *can* lose is multi-hop inference chains flowing
-through dropped frontiers, so ``ok=True`` from a streamed run is
-windowed verification — the same sound-but-incomplete contract as the
-paper's algorithm, with the window as an extra knob.  With the default
-window (larger than whole test runs) nothing retires and the verdict
-matches the vc engine exactly; ``tests/test_properties.py`` enforces
-that agreement.
-
-Batch use (``--engine stream``) goes through :meth:`StreamingChecker.run`,
-which replays a completed analysis program through the same incremental
-core, record by record, after the usual up-front precheck — so verdict
-*and* violation kind agree with the other engines.  A live session
-differs in one documented way: it reports a cycle the moment it closes,
-even if a later record would also have failed the unmapped-value
-precheck.
+**Retirement** bounds live state (the windowed verification of Bui et
+al., PAPERS.md).  A node ``window`` admitted ops old gets shared
+sentinel rows that no flood can improve, and an insertion from it
+pushes nothing.  Roots never retire; the newest store to an address is
+pinned while newest, and a superseded one until its superseder is a
+window old (a straggling load may still observe it); an unresolved load
+is pinned until it resolves, then gets a fresh window.  Adjacency,
+reasons, positions and the order are kept, so detection and witnesses
+stay exact across retired epochs.  An R6 item holds its observed
+store's row object, so a store that retires later leaves the last floor
+it reached (exact: every store below it reaches the target); one
+retired before resolution gives the floor "nothing", which the item
+advances past each interval it scans.  A retired R7 observer counts as
+reaching every candidate, and a store retired before it is observed
+gets no R7 item.  Retirement thus only drops inference, never invents
+an edge: ``ok=True`` is windowed verification, sound but incomplete
+like the paper's algorithm.  At the default window nothing retires and
+the graph has the vc engine's closure (``tests/core/test_stream.py``).
 """
 
 from __future__ import annotations
 
-import heapq
 import time
-from bisect import bisect_left, bisect_right
 from collections import deque
+from itertools import groupby
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import telemetry
-from repro.core.checker import precheck_violation
+from repro.core.checker import (
+    cycle_violation,
+    load_edges,
+    precheck_violation,
+    r7_reason,
+)
 from repro.core.graph import ConstraintGraph, CycleDetected
-from repro.core.policy import MemoryModel, TSO
-from repro.core.result import (
-    CheckResult,
-    CheckStats,
-    EdgeReason,
-    Violation,
-    ViolationKind,
-)
-from repro.model.expansion import (
-    NO_GROUP,
-    AnalysisProgram,
-    OpKind,
-    StreamExpander,
-)
+from repro.core.policy import MemoryModel, ProgramOrder, TSO
+from repro.core.prep import Chains, chain_key
+from repro.core.result import CheckResult, CheckStats, EdgeReason, Violation
+from repro.core.vc import FrontierCore
+from repro.model.expansion import NO_GROUP, AnalysisProgram, OpKind, StreamExpander
 from repro.model.trace import DynRecord
 
 #: Default frontier-retirement window, in admitted analysis ops.  Far
@@ -98,39 +74,24 @@ from repro.model.trace import DynRecord
 #: far smaller than a soak run (so live state stays bounded).
 DEFAULT_WINDOW = 4096
 
-#: Frontier sentinel for "no position reachable" (the vc engine uses
+#: Frontier entry for "no position reachable" (the vc engine uses
 #: ``n + 1``, but a stream does not know its final ``n``).
 _INF = 1 << 60
 
-
-class _ProcState:
-    """Per-processor static-edge tracker, mirroring
-    :func:`repro.core.policy._program_order_edges` incrementally."""
-
-    __slots__ = (
-        "last_load", "last_store", "last_membar",
-        "unordered_stores", "last_store_to_addr", "prev_store_to_addr",
-    )
-
-    def __init__(self) -> None:
-        self.last_load: Optional[int] = None
-        self.last_store: Optional[int] = None
-        self.last_membar: Optional[int] = None
-        #: Stores since the last membar (store_store-relaxed models only).
-        self.unordered_stores: List[int] = []
-        #: Per-address last store (store_store-relaxed models only).
-        self.last_store_to_addr: Dict[int, int] = {}
-        #: Per-address last store under *any* model — the R5 ``S'``.
-        self.prev_store_to_addr: Dict[int, int] = {}
+#: One shared (frozen) reason per static rule.
+_STATIC_REASONS = {
+    rule: EdgeReason(rule, "program order")
+    for rule in ("R1", "R2", "R3", "atomic", "init")
+}
 
 
-class _StreamState:
-    """The incremental checker core over a (possibly growing) program.
+class _StreamState(FrontierCore):
+    """The online driver over a (possibly growing) program.
 
-    Nodes must be admitted in id order; the expander guarantees that.
-    ``settle()`` must be called at dynamic-record boundaries — atomic
-    groups never span records, so by settle time every admitted group is
-    complete and redirection endpoints are final.
+    :meth:`check_record` admits one dynamic record's ops (in id order,
+    as the expander emits them) and then settles them: atomic groups
+    never span records, so by then every admitted group is complete and
+    redirection endpoints are final.
     """
 
     def __init__(
@@ -141,144 +102,91 @@ class _StreamState:
         window: int = DEFAULT_WINDOW,
         inferred_rules: bool = True,
     ) -> None:
-        self.aprog = aprog
-        self.model = model
-        self.stats = stats
-        self.window = max(1, int(window))
-        self.inferred_rules = inferred_rules
-        self._full_po = (
-            model.load_load and model.load_store
-            and model.store_store and model.store_load
-        )
-        if not self._full_po and not model.load_load:
+        if not model.load_load or not (
+            model.store_store or model.same_addr_store_store
+        ):
             raise ValueError(
                 "the stream engine needs a chain decomposition of bounded "
-                "width known up front; models without load_load order are "
-                "not supported (all shipped models have it)"
+                "width known up front: models without load_load order or "
+                "same-address store order are not supported (all shipped "
+                "models keep both)"
             )
-        if not model.store_store and not model.same_addr_store_store:
-            raise ValueError(
-                "the stream engine does not support models relaxing "
-                "same-address store order (all shipped models keep it)"
-            )
-        self.graph = ConstraintGraph(aprog)
-
-        # --- chain decomposition, pre-allocated so k is fixed ---------
-        addresses = sorted(aprog.roots)
-        nprocs = aprog.nprocs
-        self._chain_members: List[List[int]] = []
-        self._root_chain: Dict[int, int] = {}
-        for addr in addresses:
-            self._root_chain[addr] = self._new_chain()
-        self._po_chain = [self._new_chain() for _ in range(nprocs)] \
-            if self._full_po else []
-        self._nonstore_chain = [] if self._full_po else [
-            self._new_chain() for _ in range(nprocs)
-        ]
-        self._store_chain: List[int] = []
-        self._addr_store_chain: Dict[Tuple[int, int], int] = {}
-        if not self._full_po:
-            if model.store_store:
-                self._store_chain = [self._new_chain() for _ in range(nprocs)]
-            else:
-                for pid in range(nprocs):
-                    for addr in addresses:
-                        self._addr_store_chain[(pid, addr)] = self._new_chain()
-        self._k = len(self._chain_members)
-
-        # --- per-node state (lists indexed by node id, grown on admit) -
-        self._chain_of: List[int] = []
-        self._pos_of: List[int] = []
-        self._vec_to: List[Optional[List[int]]] = []
-        self._vec_from: List[Optional[List[int]]] = []
+        self.aprog = aprog
+        self._stats = stats
+        self.window = max(1, int(window))
+        self.inferred_rules = inferred_rules
+        self._graph = ConstraintGraph(aprog)
+        self._chains = Chains(aprog, model, columns={
+            chain_key(model, pid, OpKind.STORE, addr, 0)
+            for pid in range(aprog.nprocs)
+            for addr in aprog.roots
+        })
+        width = len(self._chains.store_chains)
+        self._inf = _INF
+        self._retired_to = [_INF] * width
+        self._retired_from = [-1] * width
+        self._vec_to: List[List[int]] = []
+        self._vec_from: List[List[int]] = []
         self._ord: List[int] = []
+        self._seq = 0
+        #: Nodes whose row a flood improved since the last drain.
+        self._moved_to: Dict[int, int] = {}
+        self._moved_from: Dict[int, int] = {}
+        self._procs = [ProgramOrder(model) for _ in range(aprog.nprocs)]
         self._admit_stamp: List[int] = []
         self._admitted = 0
-
-        # --- rule bookkeeping -----------------------------------------
-        self._procs: List[_ProcState] = [_ProcState() for _ in range(nprocs)]
-        self._group_prev: Dict[int, int] = {}
-        #: addr -> chain -> sorted store positions (the R6/R7 index).
-        self._addr_stores: Dict[int, Dict[int, List[int]]] = {}
         #: (addr, value) -> loads awaiting their store.
         self._pending: Dict[Tuple[int, int], List[int]] = {}
         self._unresolved: Set[int] = set()
         #: R5 ``S'`` captured at admit time, per load.
         self._r5_prev: Dict[int, int] = {}
-        #: R6 items: load -> [addr, target, target_first, per-chain
-        #: [lo_floor, hi_seen] of the already-examined interval].  Edges
-        #: are permanent and suppression only strengthens, so every
-        #: (item, candidate) pair is examined at most once; a dirty item
-        #: scans only the delta its trigger exposed.
-        self._r6_items: Dict[int, List] = {}
-        #: R7 items: store -> [addr, [(load, load_last), ...], count of
-        #: fully-processed observers, per-chain [lo_seen, tail_idx] of
-        #: the already-examined candidate region].
-        self._r7_items: Dict[int, List] = {}
+        #: R6 items: load -> (addr, target, floor row, own floor?).
+        self._r6_items: Dict[int, Tuple[int, int, List[int], bool]] = {}
+        #: R7 items: store -> (addr, [(load, load_last), ...]).
+        self._r7_items: Dict[int, Tuple[int, List[Tuple[int, int]]]] = {}
         self._r7_by_addr: Dict[int, Set[int]] = {}
         self._dirty_r6: Set[int] = set()
         self._dirty_r7: Set[int] = set()
-        self._unsettled: List[int] = []
-
-        # --- retirement -----------------------------------------------
         self._live = 0
-        self._retire_q: Deque[int] = deque()
-        self._delayed: List[Tuple[int, int]] = []  # (wake stamp, node) heap
-        self._parked_pending: Set[int] = set()
-        self._parked_last: Dict[int, int] = {}
+        #: (stamp, node) in stamp order; an entry whose node was
+        #: re-stamped since is stale.
+        self._retire_q: Deque[Tuple[int, int]] = deque()
         self._last_store: Dict[int, int] = {}
-        self._superseded_at: Dict[int, int] = {}
 
-        for addr in addresses:
-            self._admit_root(aprog.roots[addr], addr)
+        for addr in sorted(aprog.roots):
+            root = aprog.roots[addr]
+            self._add_node(aprog.ops[root])
+            self._last_store[addr] = root
 
-    # ------------------------------------------------------------------
-    # Admission
-    # ------------------------------------------------------------------
+    def check_record(self, op_ids: List[int]) -> Optional[Violation]:
+        """Admit one dynamic record's ops, then settle; the violation if
+        an edge closed a cycle."""
+        try:
+            for op_id in op_ids:
+                self.admit(op_id)
+            self.settle(op_ids)
+        except CycleDetected as exc:
+            return cycle_violation(self.aprog, self._graph, exc)
+        return None
 
-    def _new_chain(self) -> int:
-        self._chain_members.append([])
-        return len(self._chain_members) - 1
-
-    def _grow_node(self, node: int, chain: int) -> None:
-        """Append per-node state for ``node`` on ``chain``."""
-        assert node == len(self._chain_of), "nodes must be admitted in id order"
-        members = self._chain_members[chain]
-        pos = len(members)
-        members.append(node)
-        self._chain_of.append(chain)
-        self._pos_of.append(pos)
-        vec_to = [-1] * self._k
-        vec_to[chain] = pos
-        vec_from = [_INF] * self._k
-        vec_from[chain] = pos
+    def _add_node(self, op) -> None:
+        """Chain position, fresh rows and an order index for ``op``."""
+        node = op.id
+        chains = self._chains
+        chains.add(op)
+        vec_to = [-1] * len(self._retired_to)
+        vec_from = [_INF] * len(vec_to)
+        col = chains.to_col[chains.chain_of[node]]
+        if col >= 0:
+            vec_to[col] = vec_from[col] = chains.pos_of[node]
         self._vec_to.append(vec_to)
         self._vec_from.append(vec_from)
         self._ord.append(len(self._ord))
         self._admitted += 1
         self._admit_stamp.append(self._admitted)
         self._live += 1
-        if self._live > self.stats.live_peak:
-            self.stats.live_peak = self._live
-
-    def _admit_root(self, node: int, addr: int) -> None:
-        self._grow_node(node, self._root_chain[addr])
-        self._register_store_position(node, addr)
-        self._last_store[addr] = node
-
-    def _chain_for(self, op) -> int:
-        if self._full_po:
-            return self._po_chain[op.proc]
-        if op.is_store:
-            if self.model.store_store:
-                return self._store_chain[op.proc]
-            return self._addr_store_chain[(op.proc, op.addr)]
-        return self._nonstore_chain[op.proc]
-
-    def _register_store_position(self, node: int, addr: int) -> None:
-        chain = self._chain_of[node]
-        per_chain = self._addr_stores.setdefault(addr, {})
-        per_chain.setdefault(chain, []).append(self._pos_of[node])
+        if self._live > self._stats.live_peak:
+            self._stats.live_peak = self._live
 
     def admit(self, op_id: int) -> None:
         """Admit one analysis op: node, static edges, retirement entry.
@@ -286,138 +194,64 @@ class _StreamState:
         Raises:
             CycleDetected: a static edge closed a cycle.
         """
-        op = self.aprog.ops[op_id]
-        if self.graph.n <= op_id:
-            self.graph.grow()
-        self._grow_node(op_id, self._chain_for(op))
-        self._retire_q.append(op_id)
-        static: List[Tuple[int, str]] = list(self._static_in_edges(op))
+        aprog = self.aprog
+        op = aprog.ops[op_id]
+        if self._graph.n <= op_id:
+            self._graph.grow()
+        self._add_node(op)
+        self._retire_q.append((self._admitted, op_id))
+        tracker = self._procs[op.proc]
+        if op.is_load:
+            s_prime = tracker.last_store_to.get(op.addr)
+            if s_prime is not None:
+                self._r5_prev[op_id] = s_prime
+        static = tracker.in_edges(op)
         if op.group != NO_GROUP:
-            prev = self._group_prev.get(op.group)
-            if prev is not None:
-                static.append((prev, "atomic"))
-            self._group_prev[op.group] = op_id
+            members = aprog.groups[op.group]
+            index = members.index(op_id)
+            if index:
+                static.append((members[index - 1], op_id, "atomic"))
         if op.is_store:
-            static.append((self.aprog.roots[op.addr], "init"))
-            self._register_store_position(op_id, op.addr)
+            static.append((aprog.roots[op.addr], op_id, "init"))
             self._note_new_store(op_id, op.addr)
-        for u, rule in static:
-            if self._add_edge(u, op_id, EdgeReason(rule, "program order")):
-                self.stats.static_edges += 1
-        self._unsettled.append(op_id)
-
-    def _static_in_edges(self, op) -> List[Tuple[int, str]]:
-        """R1–R3 in-edges for ``op``; mirrors
-        :func:`repro.core.policy._program_order_edges` one op at a time."""
-        model = self.model
-        state = self._procs[op.proc]
-        out: List[Tuple[int, str]] = []
-        kind = op.kind
-        if kind == OpKind.LOAD:
-            if model.load_load and state.last_load is not None:
-                out.append((state.last_load, "R1"))
-            if model.store_load and state.last_store is not None:
-                out.append((state.last_store, "R2"))
-            if state.last_membar is not None:
-                out.append((state.last_membar, "R3"))
-            state.last_load = op.id
-        elif kind == OpKind.STORE:
-            if model.load_store and state.last_load is not None:
-                out.append((state.last_load, "R1"))
-            if model.store_store and state.last_store is not None:
-                out.append((state.last_store, "R2"))
-            if state.last_membar is not None:
-                out.append((state.last_membar, "R3"))
-            if not model.store_store:
-                state.unordered_stores.append(op.id)
-                if model.same_addr_store_store:
-                    prev_same = state.last_store_to_addr.get(op.addr)
-                    if prev_same is not None:
-                        out.append((prev_same, "R2"))
-                    state.last_store_to_addr[op.addr] = op.id
-            state.last_store = op.id
-        else:  # MEMBAR
-            if state.last_load is not None:
-                out.append((state.last_load, "R3"))
-            if model.store_store:
-                if state.last_store is not None:
-                    out.append((state.last_store, "R3"))
-            else:
-                out.extend((store, "R3") for store in state.unordered_stores)
-                state.unordered_stores.clear()
-            if state.last_membar is not None:
-                out.append((state.last_membar, "R3"))
-            state.last_membar = op.id
-        if kind == OpKind.LOAD:
-            prev = state.prev_store_to_addr.get(op.addr)
-            if prev is not None:
-                self._r5_prev[op.id] = prev
-        elif kind == OpKind.STORE:
-            state.prev_store_to_addr[op.addr] = op.id
-        return out
+        for u, v, rule in static:
+            if self._add_edge(u, v, _STATIC_REASONS[rule]):
+                self._stats.static_edges += 1
 
     def _note_new_store(self, store: int, addr: int) -> None:
         """Retirement + R7 bookkeeping for a newly admitted store."""
-        prev = self._last_store.get(addr)
+        prev = self._last_store[addr]
         self._last_store[addr] = store
-        if prev is not None and not self.aprog.ops[prev].is_root:
-            self._superseded_at[prev] = self._admitted
-            if self._parked_last.get(addr) == prev:
-                del self._parked_last[addr]
-                heapq.heappush(
-                    self._delayed, (self._admitted + self.window, prev)
-                )
-        # A new same-address store can extend any live R7 item's candidate
-        # set without improving a frontier.  (R6 needs no such trigger:
-        # the new chain position is larger than every existing vec_to
-        # entry, so no current interval covers it.)  The append touches
-        # exactly one chain, and the appended store is that chain's new
-        # tail — so an item whose scan state for the chain is current
-        # needs only a single targeted scan of the one new candidate
-        # against its settled observers, not a re-examination of every
-        # chain.  Items that never looked at this chain, or with older
-        # appends still pending, fall back to the dirty set and the
-        # general scan.
-        live = self._r7_by_addr.get(addr)
-        if not live:
-            return
-        c_new = self._chain_of[store]
-        positions = self._addr_stores[addr][c_new]
-        tail = len(positions)
-        queries = 0
-        for item_store in live:
-            item = self._r7_items.get(item_store)
-            if item is None or self._vec_from[item_store] is None:
-                continue  # retired; the next settle's sweep drops it
-            state = item[3].get(c_new)
-            if state is None:
-                self._dirty_r7.add(item_store)
-            elif state[1] == tail - 1:
-                state[1] = tail
-                obs_done = item[2]
-                if obs_done:
-                    queries += self._scan_r7(
-                        item_store, item[1][:obs_done], positions,
-                        tail - 1, tail, c_new,
-                    )
-            else:
-                self._dirty_r7.add(item_store)
-        self.stats.vc_queries += queries
+        if not self.aprog.ops[prev].is_root:
+            self._restamp(prev)  # a window from now, it retires
+        # The new store is a candidate of every R7 item whose store
+        # already reaches its chain (the chain is a path ending at it),
+        # with no frontier moving: test it against those items'
+        # observers here.  An item whose store comes to reach the chain
+        # later is rescanned when its row moves.  (R6 needs no such
+        # trigger: the new position is above every existing vec_to
+        # entry, so no interval covers it.)
+        chains = self._chains
+        col = chains.to_col[chains.chain_of[store]]
+        pos = chains.pos_of[store]
+        vec_from = self._vec_from
+        for item in self._r7_by_addr.get(addr, ()):
+            if vec_from[item][col] < _INF:
+                for load, load_last in self._r7_items[item][1]:
+                    if vec_from[load_last][col] > pos and self._add_edge(
+                        load, store, r7_reason(load, item, store)
+                    ):
+                        self._stats.inferred_edges += 1
 
-    # ------------------------------------------------------------------
-    # Settling: value resolution + the dirty-set fixed point
-    # ------------------------------------------------------------------
-
-    def settle(self) -> None:
-        """Resolve the ops admitted since the last record boundary, drain
-        the R6/R7 dirty set to quiescence, then sweep retirement.
+    def settle(self, op_ids: List[int]) -> None:
+        """Resolve a record's admitted ops, drain the R6/R7 dirty set to
+        quiescence, then sweep retirement.
 
         Raises:
             CycleDetected: an observed or inferred edge closed a cycle.
         """
-        unsettled, self._unsettled = self._unsettled, []
         admitted_limit = len(self._ord)
-        for op_id in unsettled:
+        for op_id in op_ids:
             op = self.aprog.ops[op_id]
             if op.is_load:
                 key = (op.addr, op.value)
@@ -430,11 +264,7 @@ class _StreamState:
             elif op.is_store:
                 for load in self._pending.pop((op.addr, op.value), ()):
                     self._unresolved.discard(load)
-                    if load in self._parked_pending:
-                        # Give the late-resolving load a fresh window.
-                        self._parked_pending.discard(load)
-                        self._admit_stamp[load] = self._admitted
-                        self._retire_q.append(load)
+                    self._restamp(load)  # a fresh window from here
                     self._resolve(load, op_id)
         self._drain()
         self._retire_sweep()
@@ -442,404 +272,93 @@ class _StreamState:
     def _resolve(self, load: int, target: int) -> None:
         """A load's observed store is known: R4/R5 edges, R6/R7 items."""
         aprog = self.aprog
-        op = aprog.ops[load]
-        s_op = aprog.ops[target]
-        same_proc_earlier = (
-            s_op.proc == op.proc and not s_op.is_root and s_op.po < op.po
-        )
-        if not same_proc_earlier:
-            reason = EdgeReason(
-                "R4",
-                f"{aprog.describe(load)} observed the value of "
-                f"{aprog.describe(target)}, which is not an earlier store of "
-                "the same processor, so the store must be globally visible "
-                "before the load binds (Value axiom)",
-            )
-            if self._add_edge(target, load, reason):
-                self.stats.observed_edges += 1
         s_prime = self._r5_prev.pop(load, None)
-        if s_prime is not None and s_prime != target:
-            reason = EdgeReason(
-                "R5",
-                f"{aprog.describe(load)} observed {aprog.describe(target)} "
-                f"despite the program-order-earlier {aprog.describe(s_prime)}; "
-                "by the Value axiom that earlier store must be globally "
-                "ordered before the observed one",
-            )
-            if self._add_edge(s_prime, target, reason):
-                self.stats.observed_edges += 1
+        for u, v, reason, _rule in load_edges(aprog, load, target, s_prime):
+            if self._add_edge(u, v, reason):
+                self._stats.observed_edges += 1
         if not self.inferred_rules:
             return
-        self._r6_items[load] = [op.addr, target, aprog.group_first(target), {}]
+        addr = aprog.ops[load].addr
+        floor = self._vec_to[aprog.group_first(target)]
+        own = floor is self._retired_to
+        if own:
+            floor = [-1] * len(floor)
+        self._r6_items[load] = (addr, target, floor, own)
         self._dirty_r6.add(load)
-        if self._vec_from[target] is not None:
-            item = self._r7_items.setdefault(target, [op.addr, [], 0, {}])
+        if self._vec_from[target] is not self._retired_from:
+            item = self._r7_items.get(target)
+            if item is None:
+                item = self._r7_items[target] = (addr, [])
+                self._r7_by_addr.setdefault(addr, set()).add(target)
             item[1].append((load, aprog.group_last(load)))
-            self._r7_by_addr.setdefault(item[0], set()).add(target)
             self._dirty_r7.add(target)
 
     def _drain(self) -> None:
-        """Run R6/R7 work items until the dirty set is empty.
+        """Rescan dirty R6/R7 items until none is left.
 
-        The rules are monotone, and every way a candidate set can grow
-        re-dirties its item (frontier improvement, new observer, new
-        same-address store), so quiescence here is the batch fixed point.
+        Every way a candidate set can grow dirties its item (a moved
+        row, a new item or observer, a new same-address store), and the
+        rules are monotone, so quiescence here is the batch fixed point.
         """
+        r6_items, r7_items = self._r6_items, self._r7_items
+        dirty_r6, dirty_r7 = self._dirty_r6, self._dirty_r7
+        moved_to, moved_from = self._moved_to, self._moved_from
+        stats = self._stats
         worked = False
-        while self._dirty_r6 or self._dirty_r7:
+        while True:
+            dirty_r6.update(node for node in moved_to if node in r6_items)
+            dirty_r7.update(node for node in moved_from if node in r7_items)
+            moved_to.clear()
+            moved_from.clear()
+            if not dirty_r6 and not dirty_r7:
+                break
             worked = True
-            while self._dirty_r6:
-                self._process_r6(self._dirty_r6.pop())
-            while self._dirty_r7:
-                self._process_r7(self._dirty_r7.pop())
+            while dirty_r6:
+                load = dirty_r6.pop()
+                addr, target, floor, own = r6_items[load]
+                vt_load = self._vec_to[load]
+                candidates = self._r6_interval(addr, vt_load, floor, target)
+                if own:
+                    floor[:] = vt_load  # everything up to here is scanned
+                stats.inferred_edges += self._apply_r6(load, target, candidates)
+            while dirty_r7:
+                store = dirty_r7.pop()
+                addr, observers = r7_items[store]
+                stats.inferred_edges += self._apply_r7(store, addr, observers)
         if worked:
-            self.stats.iterations += 1
+            stats.iterations += 1
 
-    def _process_r6(self, load: int) -> None:
-        """R6: same-address store predecessors of the load precede its
-        observed store.
-
-        Only the candidate interval delta since the last run is scanned:
-        ``hi`` (the load's frontier) grows monotonically and already
-        examined candidates got their permanent edge, so the scan resumes
-        at ``hi_seen``.  ``lo_floor`` is the highest value the target's
-        frontier was ever seen at — candidates at or below it reach the
-        target in the graph, so their edge is transitively implied
-        forever; freezing the floor when the target's vector retires is
-        therefore exact, not a fallback.
-        """
-        item = self._r6_items.get(load)
-        if item is None:
-            return
-        addr, target, target_first, chain_state = item
-        vt_load = self._vec_to[load]
-        if vt_load is None:  # retired without its item being dropped
-            del self._r6_items[load]
-            return
-        vt_target = self._vec_to[target_first]
-        queries = 0
-        for chain, positions in self._addr_stores.get(addr, {}).items():
-            state = chain_state.get(chain)
-            if state is None:
-                state = chain_state[chain] = [-1, -1]
-            if vt_target is not None and vt_target[chain] > state[0]:
-                state[0] = vt_target[chain]
-            hi = vt_load[chain]
-            start = state[0] if state[0] > state[1] else state[1]
-            if hi <= start:
-                continue
-            state[1] = hi
-            members = self._chain_members[chain]
-            span = positions[bisect_right(positions, start):
-                             bisect_right(positions, hi)]
-            queries += 1 + len(span)
-            for pos in span:
-                node = members[pos]
-                if node == target:
-                    continue
-                reason = EdgeReason(
-                    "R6",
-                    f"store n{node} precedes load n{load}, which "
-                    f"observed store n{target} (Value axiom)",
-                )
-                if self._add_edge(node, target, reason):
-                    self.stats.inferred_edges += 1
-        self.stats.vc_queries += queries
-
-    def _process_r7(self, store: int) -> None:
-        """R7: observers of a store precede its same-address store
-        successors.
-
-        Scans only what the dirtying trigger exposed: a frontier
-        improvement opens candidates below the old ``lo_seen``, a newly
-        admitted same-address store appends past ``tail_idx``, and a new
-        observer must sweep the full current region once.  A pair that
-        was suppressed stays suppressed (``vec_from`` only improves), so
-        like R6 every (observer, candidate) pair is examined at most
-        once.
-        """
-        item = self._r7_items.get(store)
-        if item is None:
-            return
-        addr, observers, obs_done, chain_state = item
-        vf = self._vec_from[store]
-        if vf is None:
-            self._drop_r7_item(store, addr)
-            return
-        new_obs = obs_done < len(observers)
-        queries = 0
-        for chain, positions in self._addr_stores.get(addr, {}).items():
-            lo = vf[chain]
-            if lo >= _INF:
-                continue
-            state = chain_state.get(chain)
-            # Fast path: the frontier did not improve on this chain, no
-            # store was appended to it, and there is no new observer —
-            # nothing to scan, and no bisect needed to know that.
-            if (state is not None and not new_obs
-                    and lo >= state[0] and len(positions) == state[1]):
-                continue
-            start = bisect_left(positions, lo)
-            if state is None:
-                # First look at this chain: everything is new; the
-                # new-observer sweep below covers it for all observers.
-                chain_state[chain] = [lo, len(positions)]
-                if obs_done:
-                    queries += self._scan_r7(
-                        store, observers[:obs_done], positions,
-                        start, len(positions), chain,
-                    )
-            else:
-                prev_start = bisect_left(positions, state[0])
-                prev_tail = state[1]
-                state[0] = min(state[0], lo)
-                state[1] = len(positions)
-                old = observers[:obs_done]
-                if old:
-                    if start < prev_start:  # frontier improved
-                        queries += self._scan_r7(
-                            store, old, positions, start, prev_start, chain,
-                        )
-                    if prev_tail < len(positions):  # stores appended
-                        queries += self._scan_r7(
-                            store, old, positions,
-                            max(prev_tail, start), len(positions), chain,
-                        )
-            if obs_done < len(observers):  # new observers: full region
-                queries += self._scan_r7(
-                    store, observers[obs_done:], positions,
-                    start, len(positions), chain,
-                )
-        item[2] = len(observers)
-        self.stats.vc_queries += queries
-
-    def _scan_r7(
-        self,
-        store: int,
-        observers: List[Tuple[int, int]],
-        positions: List[int],
-        begin: int,
-        end: int,
-        chain: int,
-    ) -> int:
-        """Examine R7 pairs: ``observers`` x ``positions[begin:end]``."""
-        aprog = self.aprog
-        vec_from = self._vec_from
-        members = self._chain_members[chain]
-        queries = 0
-        for pos in positions[begin:end]:
-            s_prime = members[pos]
-            if s_prime == store:
-                continue
-            s_prime_first = aprog.group_first(s_prime)
-            sp_chain = self._chain_of[s_prime_first]
-            sp_pos = self._pos_of[s_prime_first]
-            queries += len(observers)
-            for load, load_last in observers:
-                vf_load = vec_from[load_last]
-                # A retired observer frontier means the implied-edge
-                # suppression test cannot run; adding the (true, possibly
-                # redundant) edge is the sound fallback.
-                if vf_load is not None and vf_load[sp_chain] <= sp_pos:
-                    continue
-                reason = EdgeReason(
-                    "R7",
-                    f"load n{load} observed store n{store}, which "
-                    f"precedes store n{s_prime} (Value axiom)",
-                )
-                if self._add_edge(load, s_prime, reason):
-                    self.stats.inferred_edges += 1
-        return queries
-
-    # ------------------------------------------------------------------
-    # Incremental edge insertion (adapted from repro.core.vc)
-    # ------------------------------------------------------------------
-
-    def _add_edge(self, u: int, v: int, reason: EdgeReason) -> bool:
-        """Insert ``u -> v``; keep order + frontiers current.
-
-        Raises:
-            CycleDetected: the redirected edge closes a cycle.
-        """
-        graph = self.graph
-        u, v = graph.redirect(u, v)
-        if u == v:
-            raise CycleDetected(u, v)
-        if graph.has_edge(u, v):
-            return False
-        self._reorder(u, v, reason)
-        graph.add_edge(u, v, reason)
-        self._push_forward(u, v)
-        self._push_backward(u, v)
-        return True
-
-    def _reorder(self, u: int, v: int, reason: EdgeReason) -> None:
-        """Pearce–Kelly local reordering for the insertion of ``u -> v``.
-
-        Identical to the vc engine's: the forward search from ``v``
-        reaching ``u`` *is* the cycle.  The order covers every node ever
-        admitted — retirement drops vectors, never order indices — so
-        detection stays exact across retired epochs.
-        """
-        ord_ = self._ord
-        upper = ord_[u]
-        if upper < ord_[v]:
-            return
-        graph = self.graph
-        succ, pred = graph.succ, graph.pred
-        lower = ord_[v]
-        forward = {v}
-        stack = [v]
-        while stack:
-            node = stack.pop()
-            for child in succ[node]:
-                if child == u:
-                    # Path v ~> u exists: u -> v closes a cycle.  Record
-                    # the edge so cycle_reasons can name its rule.
-                    graph.add_edge(u, v, reason)
-                    raise CycleDetected(u, v)
-                if child not in forward and ord_[child] <= upper:
-                    forward.add(child)
-                    stack.append(child)
-        backward = {u}
-        stack = [u]
-        while stack:
-            node = stack.pop()
-            for parent in pred[node]:
-                if parent not in backward and ord_[parent] >= lower:
-                    backward.add(parent)
-                    stack.append(parent)
-        self.stats.reorder_visits += len(forward) + len(backward)
-        affected = sorted(backward, key=ord_.__getitem__)
-        affected += sorted(forward, key=ord_.__getitem__)
-        slots = sorted(ord_[node] for node in affected)
-        for node, slot in zip(affected, slots):
-            ord_[node] = slot
-
-    def _push_forward(self, u: int, v: int) -> None:
-        """Propagate ``u``'s backward frontier into ``v``'s descendants.
-
-        Nodes whose vectors were retired are opaque to propagation: the
-        delta stops there (their descendants keep whatever they had).
-        An R6 item whose frontier improves goes back on the dirty set.
-        """
-        vec_to = self._vec_to
-        succ = self.graph.succ
-        source = vec_to[u]
-        if source is None:
-            return
-        r6_items = self._r6_items
-        dirty = self._dirty_r6
-        entries = [(chain, pos) for chain, pos in enumerate(source) if pos >= 0]
-        stack = [(v, entries)]
-        while stack:
-            node, candidate = stack.pop()
-            vec = vec_to[node]
-            if vec is None:
-                continue
-            improved = [
-                (chain, pos) for chain, pos in candidate if pos > vec[chain]
-            ]
-            if not improved:
-                continue
-            for chain, pos in improved:
-                vec[chain] = pos
-            if node in r6_items:
-                dirty.add(node)
-            for child in succ[node]:
-                stack.append((child, improved))
-
-    def _push_backward(self, u: int, v: int) -> None:
-        """Propagate ``v``'s forward frontier into ``u``'s ancestors."""
-        vec_from = self._vec_from
-        pred = self.graph.pred
-        source = vec_from[v]
-        if source is None:
-            return
-        r7_items = self._r7_items
-        dirty = self._dirty_r7
-        entries = [(chain, pos) for chain, pos in enumerate(source) if pos < _INF]
-        stack = [(u, entries)]
-        while stack:
-            node, candidate = stack.pop()
-            vec = vec_from[node]
-            if vec is None:
-                continue
-            improved = [
-                (chain, pos) for chain, pos in candidate if pos < vec[chain]
-            ]
-            if not improved:
-                continue
-            for chain, pos in improved:
-                vec[chain] = pos
-            if node in r7_items:
-                dirty.add(node)
-            for parent in pred[node]:
-                stack.append((parent, improved))
-
-    # ------------------------------------------------------------------
-    # Retirement
-    # ------------------------------------------------------------------
+    def _restamp(self, node: int) -> None:
+        self._admit_stamp[node] = self._admitted
+        self._retire_q.append((self._admitted, node))
 
     def _retire_sweep(self) -> None:
-        """Drop frontier vectors of every node past the window whose
-        pin conditions have cleared."""
+        """Retire every node a window old that no pin holds."""
         admitted = self._admitted
-        window = self.window
         q = self._retire_q
         stamp = self._admit_stamp
-        while q and admitted - stamp[q[0]] >= window:
-            self._classify(q.popleft(), admitted)
-        while self._delayed and self._delayed[0][0] <= admitted:
-            _, node = heapq.heappop(self._delayed)
+        while q and admitted - q[0][0] >= self.window:
+            entry, node = q.popleft()
+            if stamp[node] != entry:
+                continue
+            op = self.aprog.ops[node]
+            if op.is_load and node in self._unresolved:
+                continue  # pinned until it resolves, then re-stamped
+            if op.is_store and self._last_store[op.addr] == node:
+                continue  # pinned while newest, re-stamped when superseded
             self._retire(node)
-
-    def _classify(self, node: int, admitted: int) -> None:
-        """Window-old node: retire it now, or park it on its pin."""
-        op = self.aprog.ops[node]
-        if op.is_load:
-            if node in self._unresolved:
-                self._parked_pending.add(node)  # re-queued on resolution
-                return
-            self._retire(node)
-            return
-        if op.is_store:
-            addr = op.addr
-            if self._last_store.get(addr) == node:
-                # Newest store to its address: value still observable.
-                self._parked_last[addr] = node
-                return
-            wake = self._superseded_at[node] + self.window
-            if admitted >= wake:
-                self._retire(node)
-            else:
-                heapq.heappush(self._delayed, (wake, node))
-            return
-        self._retire(node)  # membar
 
     def _retire(self, node: int) -> None:
-        """Drop the node's vectors (graph, order and positions are kept)."""
-        if self._vec_to[node] is None:
-            return
-        self._vec_to[node] = None
-        self._vec_from[node] = None
+        """Swap the node's rows for the sentinels and drop its items
+        (graph, order and positions are kept)."""
+        self._vec_to[node] = self._retired_to
+        self._vec_from[node] = self._retired_from
         self._live -= 1
-        self.stats.retired_nodes += 1
-        self._superseded_at.pop(node, None)
+        self._stats.retired_nodes += 1
         self._r6_items.pop(node, None)
-        self._dirty_r6.discard(node)
-        item = self._r7_items.get(node)
+        item = self._r7_items.pop(node, None)
         if item is not None:
-            self._drop_r7_item(node, item[0])
-
-    def _drop_r7_item(self, store: int, addr: int) -> None:
-        self._r7_items.pop(store, None)
-        self._dirty_r7.discard(store)
-        by_addr = self._r7_by_addr.get(addr)
-        if by_addr is not None:
-            by_addr.discard(store)
-
-    # ------------------------------------------------------------------
+            self._r7_by_addr[item[0]].discard(node)
 
     def flush_unresolved(self) -> None:
         """Record still-unresolved loads as unmapped-value precheck
@@ -854,33 +373,13 @@ class _StreamState:
             ))
 
 
-def _cycle_violation(
-    aprog: AnalysisProgram, graph: ConstraintGraph, exc: CycleDetected
-) -> Violation:
-    """The same cycle witness the batch engines build."""
-    if exc.u == exc.v:
-        cycle = [exc.u]
-    else:
-        cycle = graph.cycle_through_edge(exc.u, exc.v)
-    return Violation(
-        kind=ViolationKind.CYCLE,
-        message=(
-            f"the inferred global memory order contains a cycle of "
-            f"{len(cycle)} operation(s): "
-            + " <= ".join(aprog.describe(n) for n in cycle)
-            + f" <= {aprog.describe(cycle[0])}"
-        ),
-        cycle=cycle,
-        reasons=graph.cycle_reasons(cycle),
-    )
-
-
 class StreamSession:
     """One live checking session: feed dynamic records, get the verdict.
 
     Create via :meth:`StreamingChecker.open_session`.  ``feed`` returns
     the :class:`Violation` as soon as one exists — at the op that closes
-    the cycle — and every later ``feed`` is a no-op returning the same
+    the cycle, even if a later record would also fail the unmapped-value
+    precheck — and every later ``feed`` is a no-op returning the same
     violation.  ``finish`` runs the end-of-stream checks (unresolved
     loads, expansion failures) and returns the full
     :class:`CheckResult`.
@@ -920,34 +419,22 @@ class StreamSession:
         if rec_idx is None:
             rec_idx = self._rec_counts.get(pid, 0)
         self._rec_counts[pid] = rec_idx + 1
-        new_ops = self._expander.feed(pid, rec_idx, rec)
-        try:
-            for op_id in new_ops:
-                self._state.admit(op_id)
-            self._state.settle()
-        except CycleDetected as exc:
-            self.violation = _cycle_violation(self.aprog, self._state.graph, exc)
+        self.violation = self._state.check_record(
+            self._expander.feed(pid, rec_idx, rec)
+        )
         return self.violation
 
     def finish(self) -> CheckResult:
         """End the stream: final prechecks, stats, telemetry, result."""
-        if self._finished is not None:
-            return self._finished
-        if self.violation is None:
-            self._state.flush_unresolved()
-            self.violation = precheck_violation(self.aprog)
-        self.stats.nodes = self.aprog.n
-        self.stats.seconds = time.perf_counter() - self._start
-        telemetry.record_check(self.stats, StreamingChecker.name)
-        self._finished = CheckResult(
-            ok=self.violation is None,
-            model_name=self.model.name,
-            engine=StreamingChecker.name,
-            violation=self.violation,
-            stats=self.stats,
-            aprog=self.aprog,
-            graph=self._state.graph,
-        )
+        if self._finished is None:
+            if self.violation is None:
+                self._state.flush_unresolved()
+                self.violation = precheck_violation(self.aprog)
+            self.stats.nodes = self.aprog.n
+            self._finished = _result(
+                self.model, self.stats, self._start, self.violation,
+                self.aprog, self._state._graph,
+            )
         return self._finished
 
 
@@ -992,8 +479,8 @@ class StreamingChecker:
         )
 
     def run(self, aprog: AnalysisProgram) -> CheckResult:
-        """Check a completed analysis program by replaying it through the
-        incremental core, one dynamic record at a time.
+        """Check a completed analysis program (``--engine stream``) by
+        replaying it through the online driver, one record at a time.
 
         The up-front precheck runs first, exactly like the batch engines,
         so verdict *and* violation kind agree with them even on traces
@@ -1008,31 +495,38 @@ class StreamingChecker:
                 aprog, self.model, stats,
                 window=self.window, inferred_rules=self.inferred_rules,
             )
-            graph = state.graph
-            try:
-                current_rec: Optional[Tuple[int, object]] = None
-                for op in aprog.ops:
-                    if op.is_root:
-                        continue
-                    key = (op.proc, op.origin)
-                    if current_rec is not None and key != current_rec:
-                        state.settle()
-                    current_rec = key
-                    state.admit(op.id)
-                state.settle()
-            except CycleDetected as exc:
-                violation = _cycle_violation(aprog, graph, exc)
-        stats.seconds = time.perf_counter() - start
-        telemetry.record_check(stats, self.name)
-        return CheckResult(
-            ok=violation is None,
-            model_name=self.model.name,
-            engine=self.name,
-            violation=violation,
-            stats=stats,
-            aprog=aprog,
-            graph=graph,
-        )
+            graph = state._graph
+            records = groupby(
+                (op for op in aprog.ops if not op.is_root),
+                key=lambda op: (op.proc, op.origin),
+            )
+            for _, ops in records:
+                violation = state.check_record([op.id for op in ops])
+                if violation is not None:
+                    break
+        return _result(self.model, stats, start, violation, aprog, graph)
+
+
+def _result(
+    model: MemoryModel,
+    stats: CheckStats,
+    start: float,
+    violation: Optional[Violation],
+    aprog: AnalysisProgram,
+    graph: Optional[ConstraintGraph],
+) -> CheckResult:
+    """Time, record and wrap one stream check."""
+    stats.seconds = time.perf_counter() - start
+    telemetry.record_check(stats, StreamingChecker.name)
+    return CheckResult(
+        ok=violation is None,
+        model_name=model.name,
+        engine=StreamingChecker.name,
+        violation=violation,
+        stats=stats,
+        aprog=aprog,
+        graph=graph,
+    )
 
 
 class StreamViolationStop(Exception):

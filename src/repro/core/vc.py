@@ -10,9 +10,9 @@ short *frontier vector* with one entry per totally ordered **chain** of
 nodes.
 
 Chains are carved out of the static program-order edges the memory
-model guarantees (see :class:`repro.core.prep.Chains`): under TSO
-each processor
-contributes one load(+membar) chain and one store chain, each synthetic
+model guarantees (see :func:`repro.core.prep.chain_key`): under TSO
+each processor contributes one load(+membar) chain and one store
+chain, each synthetic
 root store is its own singleton chain, so ``k ≈ 2·procs + addrs`` —
 two orders of magnitude below the node count at the paper's operating
 point.  Because every chain is a path in the constraint graph, "chain
@@ -74,267 +74,55 @@ bit-for-bit: edges are stored in the same :class:`ConstraintGraph`
 the shared :func:`repro.core.checker.observed_edges`.  Verdict
 agreement with the other engines is enforced by
 ``tests/test_properties.py``.
+
+The incremental machinery — insertion under the online order, both
+floods, the R6 interval and the R7 chain scan — is
+:class:`FrontierCore`, which the stream engine (:mod:`repro.core.stream`)
+drives one record at a time; :class:`VectorClockChecker` drives it in
+batch passes.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro import telemetry
-from repro.core.checker import observed_edges, precheck_violation
+from repro.core.checker import (
+    cycle_violation,
+    observed_edges,
+    precheck_violation,
+    r6_reason,
+    r7_reason,
+)
 from repro.core.closure import topological_order
 from repro.core.graph import ConstraintGraph, CycleDetected
 from repro.core.kernels import build_frontiers_scalar
 from repro.core.policy import MemoryModel, TSO, static_edges
 from repro.core.prep import Chains, EnginePrep, prepare
-from repro.core.result import (
-    CheckResult,
-    CheckStats,
-    EdgeReason,
-    Violation,
-    ViolationKind,
-)
+from repro.core.result import CheckResult, CheckStats, EdgeReason, Violation
 from repro.model.expansion import AnalysisProgram
 
-#: Back-compat alias for :class:`repro.core.prep.Chains`.
-_Chains = Chains
 
+class FrontierCore:
+    """The incremental machinery the vc and stream engines share: edge
+    insertion under a Pearce–Kelly order, the two frontier floods, and
+    the R6/R7 candidate scans over :class:`~repro.core.prep.Chains`.
 
-class VectorClockChecker:
-    """Fig. 2 with incremental frontier vectors and online topo order."""
+    An engine sets these before its first insertion: ``_graph``,
+    ``_stats``, ``_chains``, ``_ord`` (order index per node),
+    ``_vec_to``/``_vec_from`` (one row per node, one entry per column
+    chain), ``_moved_to``/``_moved_from`` (written ``[node] = _seq``
+    for every row a flood improves: a stamp list in vc, a dict of moved
+    nodes in stream), ``_seq`` and ``_inf`` (the "unreached" entry).
+    """
 
-    name = "vc"
-
-    def __init__(
-        self,
-        model: MemoryModel = TSO,
-        inferred_rules: bool = True,
-    ) -> None:
-        """Args:
-            model: memory-model ordering policy.
-            inferred_rules: apply the R6/R7 fixed point (disabling them
-                is the DESIGN.md rule ablation, as on the closure
-                engine).
-        """
-        self.model = model
-        self.inferred_rules = inferred_rules
-
-    def run(self, aprog: AnalysisProgram) -> CheckResult:
-        """Check one analysis program; return the verdict with a witness."""
-        start = time.perf_counter()
-        stats = CheckStats(nodes=aprog.n)
-
-        self._graph: Optional[ConstraintGraph] = None
-        violation = precheck_violation(aprog)
-        if violation is None:
-            violation = self._analyze(aprog, stats)
-
-        stats.seconds = time.perf_counter() - start
-        telemetry.record_check(stats, self.name)
-        return CheckResult(
-            ok=violation is None,
-            model_name=self.model.name,
-            engine=self.name,
-            violation=violation,
-            stats=stats,
-            aprog=aprog,
-            graph=self._graph,
-        )
-
-    # ------------------------------------------------------------------
-    # Phase 1: bulk edges, chain decomposition, one closure build
-    # ------------------------------------------------------------------
-
-    def _analyze(
-        self, aprog: AnalysisProgram, stats: CheckStats
-    ) -> Optional[Violation]:
-        graph = ConstraintGraph(aprog)
-        self._graph = graph
-        self._stats = stats
-
-        # One shared (frozen) reason per static rule.
-        static_reasons = {}
-        try:
-            for u, v, rule in static_edges(aprog, self.model):
-                reason = static_reasons.get(rule)
-                if reason is None:
-                    reason = static_reasons[rule] = EdgeReason(
-                        rule, "program order"
-                    )
-                if graph.add_edge(u, v, reason):
-                    stats.static_edges += 1
-            for u, v, reason, _rule in observed_edges(aprog):
-                if graph.add_edge(u, v, reason):
-                    stats.observed_edges += 1
-        except CycleDetected as exc:
-            return self._violation(aprog, graph, exc)
-
-        order = topological_order(graph)
-        if order is None:
-            return self._found_cycle(aprog, graph)
-        if not self.inferred_rules:
-            return None
-
-        self._chains = _Chains(aprog, self.model)
-        self._init_state(graph, order)
-        stats.closure_rebuilds += 1
-        prep = prepare(aprog)
-        try:
-            return self._fixed_point(aprog, graph, stats, prep)
-        except CycleDetected as exc:
-            return self._violation(aprog, graph, exc)
-
-    def _init_state(self, graph: ConstraintGraph, order: List[int]) -> None:
-        """Build frontiers and the topological order in one DP pass.
-
-        ``vec_to[v][to_col[c]]`` is the highest position in chain ``c``
-        whose member reaches ``v`` (-1: none), and
-        ``vec_from[v][to_col[c]]`` the lowest position in chain ``c``
-        reachable from ``v`` (``_inf``: none), both kept only for the
-        chains holding a non-root store.  Both include ``v`` itself,
-        mirroring the closure engine's reach bitsets.
-        ``_moved_to``/``_moved_from`` stamp each row with the ``_seq``
-        of the last insertion that improved it.
-        """
-        n = graph.n
-        chains = self._chains
-        self._inf = n + 1
-        self._ord = [0] * n
-        for index, node in enumerate(order):
-            self._ord[node] = index
-        self._vec_to, self._vec_from = build_frontiers_scalar(
-            n, order, graph.pred, graph.succ,
-            chains.chain_of, chains.pos_of, chains.to_col,
-        )
-        self._seq = 0
-        self._moved_to = [0] * n
-        self._moved_from = [0] * n
-
-    # ------------------------------------------------------------------
-    # Phase 2: the R6/R7 fixed point over live frontiers
-    # ------------------------------------------------------------------
-
-    def _fixed_point(
-        self,
-        aprog: AnalysisProgram,
-        graph: ConstraintGraph,
-        stats: CheckStats,
-        prep: EnginePrep,
-    ) -> Optional[Violation]:
-        # The observer-suppression test runs for every tested (R7
-        # candidate, observer) pair — ~10^5 times at paper scale — so it
-        # is inlined here over hoisted locals, with the query count
-        # accumulated in bulk.
-        chains = self._chains
-        to_col = chains.to_col
-        addr_stores = chains.addr_stores
-        chain_nodes = chains.nodes
-        inf = self._inf
-        vec_from = self._vec_from
-        moved_to = self._moved_to
-        moved_from = self._moved_from
-        add_edge = self._add_edge
-        # The insertion stamp at which each R6/R7 item was last scanned
-        # (see "Rescans follow moved frontiers" in the module docstring).
-        r6_seen = [-1] * len(prep.loads)
-        r7_seen = [-1] * len(prep.stores)
-        while True:
-            stats.iterations += 1
-            added = 0
-            for i, (load, addr, target, target_first) in enumerate(prep.loads):
-                if moved_to[load] <= r6_seen[i]:
-                    continue  # vec_to[load] unchanged since the last scan
-                r6_seen[i] = self._seq
-                for s_prime in self._r6_candidates(addr, load, target,
-                                                  target_first):
-                    reason = EdgeReason(
-                        "R6",
-                        f"store n{s_prime} precedes load n{load}, which "
-                        f"observed store n{target} (Value axiom)",
-                    )
-                    if add_edge(s_prime, target, reason):
-                        added += 1
-            queries = 0
-            for i, (store, addr, observers) in enumerate(prep.stores):
-                if moved_from[store] <= r7_seen[i]:
-                    continue  # vec_from[store] unchanged since the last scan
-                r7_seen[i] = self._seq
-                # Same-address store successors of ``store``, chain by
-                # chain, bounded by vec_from[store] as it stood when the
-                # item's scan began (insertions below may lower it).
-                vf = vec_from[store][:]
-                for chain, positions in addr_stores.get(addr, ()):
-                    queries += 1
-                    col = to_col[chain]
-                    lo = vf[col]
-                    if lo >= inf:
-                        continue
-                    members = chain_nodes[chain]
-                    for pos in positions[bisect_left(positions, lo):]:
-                        s_prime = members[pos]
-                        if s_prime == store:
-                            continue
-                        queries += len(observers)
-                        implied = True
-                        for load, load_last in observers:
-                            # The redirected edge is implied when the
-                            # observer's group exit reaches s' — unless
-                            # it *is* s' (a swap observing ``store``
-                            # whose own store half is the candidate),
-                            # which never reaches its group entry.
-                            if (vec_from[load_last][col] <= pos
-                                    and load_last != s_prime):
-                                continue
-                            implied = False
-                            reason = EdgeReason(
-                                "R7",
-                                f"load n{load} observed store n{store}, which "
-                                f"precedes store n{s_prime} (Value axiom)",
-                            )
-                            if add_edge(load, s_prime, reason):
-                                added += 1
-                        if implied:
-                            # Every observer reaches this candidate,
-                            # hence every later one on the chain: the
-                            # rest would propose nothing.
-                            break
-            stats.vc_queries += queries
-            if not added:
-                return None
-            stats.inferred_edges += added
-
-    def _r6_candidates(
-        self, addr: int, load: int, target: int, target_first: int
-    ) -> List[int]:
-        """Same-address store predecessors of ``load`` not already
-        ordered before the observed store's group entry point."""
-        out: List[int] = []
-        chains = self._chains
-        to_col = chains.to_col
-        vt_load = self._vec_to[load]
-        vt_target = self._vec_to[target_first]
-        queries = 0
-        for chain, positions in chains.addr_stores.get(addr, ()):
-            queries += 1
-            col = to_col[chain]
-            lo = vt_target[col]
-            hi = vt_load[col]
-            if hi <= lo:
-                continue
-            members = chains.nodes[chain]
-            for pos in positions[bisect_right(positions, lo):
-                                 bisect_right(positions, hi)]:
-                node = members[pos]
-                if node != target:
-                    out.append(node)
-        self._stats.vc_queries += queries
-        return out
-
-    # ------------------------------------------------------------------
-    # Incremental edge insertion
-    # ------------------------------------------------------------------
+    #: The shared rows of retired nodes (stream only): no flood can
+    #: improve them, and an insertion whose source row is one of them
+    #: pushes nothing.
+    _retired_to: Optional[List[int]] = None
+    _retired_from: Optional[List[int]] = None
 
     def _add_edge(self, u: int, v: int, reason: EdgeReason) -> bool:
         """Insert ``u -> v``; keep order + frontiers current.
@@ -355,8 +143,10 @@ class VectorClockChecker:
             self._reorder(u, v, reason)
         graph.add_redirected(u, v, reason)
         self._seq += 1
-        self._push_forward(u, v)
-        self._push_backward(u, v)
+        if self._vec_to[u] is not self._retired_to:
+            self._push_forward(u, v)
+        if self._vec_from[v] is not self._retired_from:
+            self._push_backward(u, v)
         return True
 
     def _reorder(self, u: int, v: int, reason: EdgeReason) -> None:
@@ -457,35 +247,251 @@ class VectorClockChecker:
                     stack.append((pred[parent], col, pos))
 
     # ------------------------------------------------------------------
+    # R6/R7 over the frontiers
+    # ------------------------------------------------------------------
 
-    def _found_cycle(
-        self, aprog: AnalysisProgram, graph: ConstraintGraph
-    ) -> Violation:
-        cycle = graph.find_cycle()
-        assert cycle is not None
-        return self._cycle_violation(aprog, graph, cycle)
+    def _r6_interval(
+        self,
+        addr: int,
+        vt_load: Sequence[int],
+        vt_floor: Sequence[int],
+        target: int,
+    ) -> List[int]:
+        """Same-address stores, but ``target``, that reach the load
+        (``vt_load``) and not yet the observed store (``vt_floor``, the
+        row of its group entry point): per chain, the positions in
+        ``(vt_floor[col], vt_load[col]]``."""
+        out: List[int] = []
+        chains = self._chains
+        to_col = chains.to_col
+        queries = 0
+        for chain, positions in chains.addr_stores.get(addr, ()):
+            queries += 1
+            col = to_col[chain]
+            lo = vt_floor[col]
+            hi = vt_load[col]
+            if hi <= lo:
+                continue
+            members = chains.nodes[chain]
+            for pos in positions[bisect_right(positions, lo):
+                                 bisect_right(positions, hi)]:
+                node = members[pos]
+                if node != target:
+                    out.append(node)
+        self._stats.vc_queries += queries
+        return out
 
-    def _violation(
-        self, aprog: AnalysisProgram, graph: ConstraintGraph, exc: CycleDetected
-    ) -> Violation:
-        """Build a cycle witness from the edge that closed the cycle."""
-        if exc.u == exc.v:
-            cycle = [exc.u]
-        else:
-            cycle = graph.cycle_through_edge(exc.u, exc.v)
-        return self._cycle_violation(aprog, graph, cycle)
+    def _apply_r6(self, load: int, target: int, candidates: List[int]) -> int:
+        """R6 edges ``s' -> target``; returns how many were new."""
+        added = 0
+        for s_prime in candidates:
+            if self._add_edge(s_prime, target, r6_reason(s_prime, load, target)):
+                added += 1
+        return added
 
-    def _cycle_violation(
-        self, aprog: AnalysisProgram, graph: ConstraintGraph, cycle: List[int]
-    ) -> Violation:
-        return Violation(
-            kind=ViolationKind.CYCLE,
-            message=(
-                f"the inferred global memory order contains a cycle of "
-                f"{len(cycle)} operation(s): "
-                + " <= ".join(aprog.describe(n) for n in cycle)
-                + f" <= {aprog.describe(cycle[0])}"
-            ),
-            cycle=cycle,
-            reasons=graph.cycle_reasons(cycle),
+    def _apply_r7(
+        self, store: int, addr: int, observers: List[Tuple[int, int]]
+    ) -> int:
+        """R7 edges ``load -> s'`` for the same-address store successors
+        ``s'`` of ``store``, chain by chain; returns how many were new.
+
+        The observer-suppression test runs for every tested (candidate,
+        observer) pair — ~10^5 times at paper scale — so it is inlined
+        over hoisted locals, with the query count kept in bulk.
+        """
+        chains = self._chains
+        to_col = chains.to_col
+        chain_nodes = chains.nodes
+        inf = self._inf
+        vec_from = self._vec_from
+        add_edge = self._add_edge
+        # Bounded by vec_from[store] as it stood when the scan began
+        # (insertions below may lower it).
+        vf = vec_from[store][:]
+        added = 0
+        queries = 0
+        for chain, positions in chains.addr_stores.get(addr, ()):
+            queries += 1
+            col = to_col[chain]
+            lo = vf[col]
+            if lo >= inf:
+                continue
+            members = chain_nodes[chain]
+            for pos in positions[bisect_left(positions, lo):]:
+                s_prime = members[pos]
+                if s_prime == store:
+                    continue
+                queries += len(observers)
+                implied = True
+                for load, load_last in observers:
+                    # The redirected edge is implied when the observer's
+                    # group exit reaches s' — unless it *is* s' (a swap
+                    # observing ``store`` whose own store half is the
+                    # candidate), which never reaches its group entry.
+                    if vec_from[load_last][col] <= pos and load_last != s_prime:
+                        continue
+                    implied = False
+                    if add_edge(load, s_prime, r7_reason(load, store, s_prime)):
+                        added += 1
+                if implied:
+                    # Every observer reaches this candidate, hence every
+                    # later one on the chain: the rest would propose
+                    # nothing.
+                    break
+        self._stats.vc_queries += queries
+        return added
+
+
+class VectorClockChecker(FrontierCore):
+    """Fig. 2 with incremental frontier vectors and online topo order."""
+
+    name = "vc"
+
+    def __init__(
+        self,
+        model: MemoryModel = TSO,
+        inferred_rules: bool = True,
+    ) -> None:
+        """Args:
+            model: memory-model ordering policy.
+            inferred_rules: apply the R6/R7 fixed point (disabling them
+                is the DESIGN.md rule ablation, as on the closure
+                engine).
+        """
+        self.model = model
+        self.inferred_rules = inferred_rules
+
+    def run(self, aprog: AnalysisProgram) -> CheckResult:
+        """Check one analysis program; return the verdict with a witness."""
+        start = time.perf_counter()
+        stats = CheckStats(nodes=aprog.n)
+
+        self._graph: Optional[ConstraintGraph] = None
+        violation = precheck_violation(aprog)
+        if violation is None:
+            violation = self._analyze(aprog, stats)
+
+        stats.seconds = time.perf_counter() - start
+        telemetry.record_check(stats, self.name)
+        return CheckResult(
+            ok=violation is None,
+            model_name=self.model.name,
+            engine=self.name,
+            violation=violation,
+            stats=stats,
+            aprog=aprog,
+            graph=self._graph,
         )
+
+    # ------------------------------------------------------------------
+    # Phase 1: bulk edges, chain decomposition, one closure build
+    # ------------------------------------------------------------------
+
+    def _analyze(
+        self, aprog: AnalysisProgram, stats: CheckStats
+    ) -> Optional[Violation]:
+        graph = ConstraintGraph(aprog)
+        self._graph = graph
+        self._stats = stats
+
+        # One shared (frozen) reason per static rule.
+        static_reasons = {}
+        try:
+            for u, v, rule in static_edges(aprog, self.model):
+                reason = static_reasons.get(rule)
+                if reason is None:
+                    reason = static_reasons[rule] = EdgeReason(
+                        rule, "program order"
+                    )
+                if graph.add_edge(u, v, reason):
+                    stats.static_edges += 1
+            for u, v, reason, _rule in observed_edges(aprog):
+                if graph.add_edge(u, v, reason):
+                    stats.observed_edges += 1
+        except CycleDetected as exc:
+            return cycle_violation(aprog, graph, exc)
+
+        order = topological_order(graph)
+        if order is None:
+            return cycle_violation(aprog, graph)
+        if not self.inferred_rules:
+            return None
+
+        self._chains = Chains(aprog, self.model)
+        self._init_state(graph, order)
+        stats.closure_rebuilds += 1
+        prep = prepare(aprog)
+        try:
+            return self._fixed_point(aprog, graph, stats, prep)
+        except CycleDetected as exc:
+            return cycle_violation(aprog, graph, exc)
+
+    def _init_state(self, graph: ConstraintGraph, order: List[int]) -> None:
+        """Build frontiers and the topological order in one DP pass.
+
+        ``vec_to[v][to_col[c]]`` is the highest position in chain ``c``
+        whose member reaches ``v`` (-1: none), and
+        ``vec_from[v][to_col[c]]`` the lowest position in chain ``c``
+        reachable from ``v`` (``_inf``: none), both kept only for the
+        chains holding a non-root store.  Both include ``v`` itself,
+        mirroring the closure engine's reach bitsets.
+        ``_moved_to``/``_moved_from`` stamp each row with the ``_seq``
+        of the last insertion that improved it.
+        """
+        n = graph.n
+        chains = self._chains
+        self._inf = n + 1
+        self._ord = [0] * n
+        for index, node in enumerate(order):
+            self._ord[node] = index
+        self._vec_to, self._vec_from = build_frontiers_scalar(
+            n, order, graph.pred, graph.succ,
+            chains.chain_of, chains.pos_of, chains.to_col,
+        )
+        self._seq = 0
+        self._moved_to = [0] * n
+        self._moved_from = [0] * n
+
+    # ------------------------------------------------------------------
+    # Phase 2: the R6/R7 fixed point over live frontiers
+    # ------------------------------------------------------------------
+
+    def _fixed_point(
+        self,
+        aprog: AnalysisProgram,
+        graph: ConstraintGraph,
+        stats: CheckStats,
+        prep: EnginePrep,
+    ) -> Optional[Violation]:
+        moved_to = self._moved_to
+        moved_from = self._moved_from
+        # The insertion stamp at which each R6/R7 item was last scanned
+        # (see "Rescans follow moved frontiers" in the module docstring).
+        r6_seen = [-1] * len(prep.loads)
+        r7_seen = [-1] * len(prep.stores)
+        while True:
+            stats.iterations += 1
+            added = 0
+            for i, (load, addr, target, target_first) in enumerate(prep.loads):
+                if moved_to[load] <= r6_seen[i]:
+                    continue  # vec_to[load] unchanged since the last scan
+                r6_seen[i] = self._seq
+                added += self._apply_r6(load, target, self._r6_candidates(
+                    addr, load, target, target_first
+                ))
+            for i, (store, addr, observers) in enumerate(prep.stores):
+                if moved_from[store] <= r7_seen[i]:
+                    continue  # vec_from[store] unchanged since the last scan
+                r7_seen[i] = self._seq
+                added += self._apply_r7(store, addr, observers)
+            if not added:
+                return None
+            stats.inferred_edges += added
+
+    def _r6_candidates(
+        self, addr: int, load: int, target: int, target_first: int
+    ) -> List[int]:
+        """Same-address store predecessors of ``load`` not already
+        ordered before the observed store's group entry point."""
+        vec_to = self._vec_to
+        return self._r6_interval(addr, vec_to[load], vec_to[target_first], target)

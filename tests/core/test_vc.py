@@ -27,9 +27,9 @@ import pytest
 from repro.core.closure import compute_closure, topological_order
 from repro.core.graph import ConstraintGraph, CycleDetected
 from repro.core.policy import PSO, SC, TSO, MemoryModel, static_edges
-from repro.core.prep import prepare
+from repro.core.prep import Chains, prepare
 from repro.core.result import CheckStats, EdgeReason
-from repro.core.vc import VectorClockChecker, _Chains
+from repro.core.vc import VectorClockChecker
 from repro.generator.config import GeneratorConfig
 from repro.generator.generator import generate_program
 from repro.model.expansion import OpKind, expand
@@ -65,7 +65,7 @@ def _prepared(text, model=TSO):
         graph.add_edge(u, v, EdgeReason(rule, "program order"))
     order = topological_order(graph)
     assert order is not None
-    checker._chains = _Chains(aprog, model)
+    checker._chains = Chains(aprog, model)
     checker._init_state(graph, order)
     return aprog, checker, graph
 
@@ -110,7 +110,7 @@ class TestChains:
     @pytest.mark.parametrize("model", [TSO, SC, PSO], ids=lambda m: m.name)
     def test_partition_and_path_property(self, model):
         aprog = litmus_aprog(MIXED)
-        chains = _Chains(aprog, model)
+        chains = Chains(aprog, model)
         # Exactly one (chain, position) per node, positions consecutive.
         seen = set()
         for chain, members in enumerate(chains.nodes):
@@ -131,7 +131,7 @@ class TestChains:
 
     def test_addr_store_index_is_complete_and_sorted(self):
         aprog = litmus_aprog(MIXED)
-        chains = _Chains(aprog, TSO)
+        chains = Chains(aprog, TSO)
         indexed = set()
         for addr, slices in chains.addr_stores.items():
             for chain, positions in slices:
@@ -148,13 +148,13 @@ class TestChains:
 
     def test_sc_merges_each_processor_into_one_chain(self):
         aprog = litmus_aprog("P0: S[A]#1 ; L[A]=1 ; S[B]#2\nP1: L[B]=2")
-        chains = _Chains(aprog, SC)
+        chains = Chains(aprog, SC)
         for stream in aprog.per_proc:
             assert len({chains.chain_of[node] for node in stream}) == 1
 
     def test_tso_splits_loads_and_stores(self):
         aprog = litmus_aprog("P0: S[A]#1 ; L[A]=1 ; S[B]#2 ; L[B]=2")
-        chains = _Chains(aprog, TSO)
+        chains = Chains(aprog, TSO)
         ops = aprog.ops
         for stream in aprog.per_proc:
             loads = {chains.chain_of[n] for n in stream if ops[n].is_load}
@@ -572,7 +572,7 @@ class TestRescanExactness:
             plain = _RescanAll(model)
             plain._graph = graph
             plain._stats = stats
-            plain._chains = _Chains(aprog, model)
+            plain._chains = Chains(aprog, model)
             plain._init_state(graph, topological_order(graph))
             edges = graph.edge_count
             assert plain._fixed_point(
@@ -622,7 +622,7 @@ def _observer_tests(aprog, result, model=TSO):
     R6/R7 item makes."""
     assert result.stats.iterations == 1
     prep = prepare(aprog)
-    index = _Chains(aprog, model).addr_stores
+    index = Chains(aprog, model).addr_stores
     items = [addr for _, addr, _, _ in prep.loads]
     items += [addr for _, addr, _ in prep.stores]
     probes = sum(len(index.get(addr, ())) for addr in items)
