@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import os
 import zlib
+from itertools import accumulate
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.analysis.pool import ProgressFn, run_tasks
@@ -209,11 +210,6 @@ class CampaignResult:
     #: Human-readable scheduler description (``SchedSpec.describe()``)
     #: of the campaign that produced these hunts.
     sched: str = "random"
-
-    @property
-    def seconds(self) -> float:
-        """Deprecated alias for :attr:`wall_seconds` (pre-pool callers)."""
-        return self.wall_seconds
 
     def by_cpu(self) -> Dict[str, List[BugHunt]]:
         """Hunts grouped by CPU name."""
@@ -450,7 +446,7 @@ def hunt_batch(
 ) -> List[BugHunt]:
     """Hunt several seeded bugs in one call, sharing warm state.
 
-    The batched-dispatch unit: a pool task carrying B independent
+    The unit of every :func:`dispatch_hunts` pool task: a task carrying B
     ``(spec, cpu name, bug index)`` hunts pays one task round-trip and
     one worker telemetry flush for all of them, and the hunts share one
     :class:`HuntScratch` (machine resets).  Each
@@ -518,18 +514,75 @@ def _triage(
     return False, ""
 
 
-def _hunt_task(task: Tuple[BugSpec, str, CampaignConfig, int]) -> BugHunt:
-    """Picklable pool entry point: hunt one seeded bug in a worker."""
-    spec, cpu_name, config, bug_index = task
-    return hunt_bug(spec, cpu_name, config, bug_index=bug_index)
-
-
 def _hunt_batch_task(
     task: Tuple[Sequence[Tuple[BugSpec, str, int]], CampaignConfig],
 ) -> List[BugHunt]:
     """Picklable pool entry point: hunt a batch of seeded bugs in a worker."""
     hunts, config = task
     return hunt_batch(hunts, config)
+
+
+HuntGroup = Tuple[str, CampaignConfig, Sequence[Tuple[BugSpec, str, int]]]
+
+
+def dispatch_hunts(
+    groups: Sequence[HuntGroup],
+    batch: int,
+    *,
+    workers: int = 1,
+    task_timeout: Optional[float] = None,
+    progress: Optional[ProgressFn] = None,
+    on_hunt: Optional[Callable[[int, BugHunt], None]] = None,
+) -> Tuple[List[BugHunt], PoolStats]:
+    """Run the hunts of ``groups`` as one pool batch; return them in order.
+
+    A group is ``(label prefix, config, [(spec, cpu, bug index), …])``.
+    Each is cut into chunks of up to ``batch`` hunts that never cross a
+    group boundary; each chunk is one :func:`hunt_batch` pool task,
+    labelled with its first bug's name (``+n`` for the rest) after the
+    prefix.  ``on_hunt(i, hunt)`` runs in this process as each hunt
+    lands, ``i`` being its position in the concatenated work.  A chunk
+    that hung on every attempt gives each member a ``hung=True``
+    tombstone; ``task_timeout`` covers a whole chunk.
+    """
+    tasks: List[Tuple[List[Tuple[BugSpec, str, int]], CampaignConfig]] = []
+    labels: List[str] = []
+    for prefix, config, work in groups:
+        for i in range(0, len(work), batch):
+            chunk = list(work[i : i + batch])
+            tasks.append((chunk, config))
+            suffix = f" (+{len(chunk) - 1})" if len(chunk) > 1 else ""
+            labels.append(f"{prefix}{chunk[0][0].name}{suffix}")
+    # Position of each chunk's first hunt in the concatenated work.
+    starts = [0, *accumulate(len(chunk) for chunk, _ in tasks)]
+
+    def land(task_index: int, hunts: List[BugHunt]) -> None:
+        if on_hunt is not None:
+            for offset, hunt in enumerate(hunts):
+                on_hunt(starts[task_index] + offset, hunt)
+
+    results, stats = run_tasks(
+        _hunt_batch_task,
+        tasks,
+        workers=workers,
+        task_timeout=task_timeout,
+        labels=labels,
+        progress=progress,
+        on_result=land,
+    )
+    hunts: List[BugHunt] = []
+    for task_index, ((chunk, _), value) in enumerate(zip(tasks, results)):
+        if value is None:
+            value = [
+                BugHunt(
+                    spec=spec, cpu=cpu_name, detected=False, tests_run=0,
+                    via="worker crashed or timed out", hung=True,
+                )
+                for spec, cpu_name, _ in chunk
+            ]
+            land(task_index, value)
+        hunts.extend(value)
+    return hunts, stats
 
 
 def run_campaign(
@@ -542,18 +595,14 @@ def run_campaign(
 ) -> CampaignResult:
     """Hunt every seeded bug of every CPU; return the full result.
 
-    With ``workers > 1`` hunts are sharded across a process pool
-    (:mod:`repro.analysis.pool`).  Every hunt's seed stream is derived
-    from ``(campaign seed, cpu name, bug index)`` inside
-    :func:`hunt_bug`, independent of scheduling, so the hunts are
-    hunt-for-hunt identical to the sequential path for the same master
-    seed.  A hunt whose worker crashes or exceeds ``task_timeout`` twice
-    is recorded with ``hung=True`` (and counts as undetected).
-
-    With ``config.batch > 1`` hunts are grouped so each pool task
-    carries a whole batch (see :func:`hunt_batch`); a hung batch task
-    tombstones every member hunt.  Note ``task_timeout`` then covers a
-    batch, not a single hunt — scale it with the batch size.
+    The hunts go to :func:`dispatch_hunts` as one group, ``config.batch``
+    per pool task, sharded across a process pool when ``workers > 1``
+    (:mod:`repro.analysis.pool`).  Each hunt's seed stream comes from
+    ``(campaign seed, cpu name, bug index)`` inside :func:`hunt_bug`, so
+    the hunts do not depend on scheduling, batching or workers.  A task
+    whose worker crashes or exceeds ``task_timeout`` (which covers a
+    whole batch) twice tombstones its hunts with ``hung=True``; they
+    count as undetected.
 
     With ``record_dir`` set, every detected hunt's
     :class:`~repro.sched.trace.ScheduleTrace` is persisted there as
@@ -565,58 +614,13 @@ def run_campaign(
     for cpu in cpus:
         for index, spec in enumerate(cpu.bugs):
             work.append((spec, cpu.name, index))
-    hunts: List[BugHunt] = []
-    if config.batch > 1:
-        # Batched dispatch: B hunts ride one pool task (one round-trip,
-        # one worker telemetry flush, shared HuntScratch).  Chunking is
-        # pure grouping — each hunt's seeds come from (seed, cpu, bug
-        # index), so the hunt set matches the unbatched path exactly.
-        chunks = [
-            work[i : i + config.batch]
-            for i in range(0, len(work), config.batch)
-        ]
-        results, stats = run_tasks(
-            _hunt_batch_task,
-            [(chunk, config) for chunk in chunks],
-            workers=workers,
-            task_timeout=task_timeout,
-            labels=[
-                chunk[0][0].name
-                + (f" (+{len(chunk) - 1})" if len(chunk) > 1 else "")
-                for chunk in chunks
-            ],
-            progress=progress,
-        )
-        for chunk, batch in zip(chunks, results):
-            if batch is None:
-                # The whole chunk's worker crashed or timed out: every
-                # member hunt gets a tombstone, never a silent drop.
-                batch = [
-                    BugHunt(
-                        spec=spec, cpu=cpu_name, detected=False, tests_run=0,
-                        via="worker crashed or timed out", hung=True,
-                    )
-                    for spec, cpu_name, _ in chunk
-                ]
-            hunts.extend(batch)
-    else:
-        tasks = [(spec, cpu_name, config, index) for spec, cpu_name, index in work]
-        results, stats = run_tasks(
-            _hunt_task,
-            tasks,
-            workers=workers,
-            task_timeout=task_timeout,
-            labels=[spec.name for spec, _, _ in work],
-            progress=progress,
-        )
-        for task, hunt in zip(tasks, results):
-            if hunt is None:
-                spec, cpu_name, _, _ = task
-                hunt = BugHunt(
-                    spec=spec, cpu=cpu_name, detected=False, tests_run=0,
-                    via="worker crashed or timed out", hung=True,
-                )
-            hunts.append(hunt)
+    hunts, stats = dispatch_hunts(
+        [("", config, work)],
+        config.batch,
+        workers=workers,
+        task_timeout=task_timeout,
+        progress=progress,
+    )
     if record_dir is not None:
         os.makedirs(record_dir, exist_ok=True)
         for hunt in hunts:

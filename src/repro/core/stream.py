@@ -391,11 +391,13 @@ class StreamSession:
         addresses: Sequence[int],
         initial: Optional[Dict[int, int]] = None,
         word_names: Optional[Dict[int, str]] = None,
-        nprocs: int = 0,
+        *,
+        nprocs: int,
         window: int = DEFAULT_WINDOW,
         inferred_rules: bool = True,
     ) -> None:
         self.model = model
+        self.nprocs = nprocs
         self._start = time.perf_counter()
         self._expander = StreamExpander(
             addresses, initial=initial, word_names=word_names, nprocs=nprocs
@@ -413,7 +415,13 @@ class StreamSession:
     def feed(
         self, pid: int, rec: DynRecord, rec_idx: Optional[int] = None
     ) -> Optional[Violation]:
-        """Check one dynamic record; return the violation if one is known."""
+        """Check one dynamic record of a declared processor (else
+        ``ValueError``); return the violation if one is known."""
+        if not 0 <= pid < self.nprocs:
+            raise ValueError(
+                f"record from processor {pid}, but the session declared "
+                f"nprocs={self.nprocs}"
+            )
         if self.violation is not None:
             return self.violation
         if rec_idx is None:
@@ -466,11 +474,13 @@ class StreamingChecker:
         addresses: Sequence[int],
         initial: Optional[Dict[int, int]] = None,
         word_names: Optional[Dict[int, str]] = None,
-        nprocs: int = 0,
+        *,
+        nprocs: int,
         window: Optional[int] = None,
     ) -> StreamSession:
         """Open a live session fed record-by-record (the true streaming
-        path; :meth:`run` is the batch shim over the same core)."""
+        path; :meth:`run` is the batch shim over the same core) for
+        records of processors ``range(nprocs)``."""
         return StreamSession(
             self.model, addresses,
             initial=initial, word_names=word_names, nprocs=nprocs,

@@ -4,14 +4,15 @@ A :class:`JobRunner` turns one manifest + store pair into pool work:
 it asks the store which hunts are still unrecorded (whole shards, the
 tail of a shard torn by a crash, or ``hung`` tombstones due a retry),
 **claims** each shard through a :class:`~repro.service.lease.LeaseManager`
-before touching it, dispatches exactly those hunts to
-:func:`repro.analysis.pool.run_tasks` — the same worker pool, task
-function and per-hunt seed derivation a one-shot ``run_campaign``
-uses — and persists every hunt the moment it completes via the pool's
-``on_result`` streaming callback.  A shard's completion marker is
-appended as soon as its last hunt lands (after a from-disk ownership
-re-check), so the crash-loss window is only the hunts literally in
-flight; everything recorded before a ``SIGKILL`` is reused on resume.
+before touching it, dispatches exactly those hunts through
+:func:`repro.analysis.campaign.dispatch_hunts` — the one dispatch path
+a one-shot ``run_campaign`` uses too, so chunking, task labels, hung
+tombstones and per-hunt seed derivation cannot differ — and persists
+every hunt the moment it lands via its ``on_hunt`` callback.  A
+shard's completion marker is appended as soon as its last hunt lands
+(after a from-disk ownership re-check), so the crash-loss window is
+only the hunts literally in flight; everything recorded before a
+``SIGKILL`` is reused on resume.
 
 The lease layer is what makes N runners on N hosts safe on one store:
 each round a runner claims up to ``max(1, workers)`` unclaimed-or-
@@ -39,16 +40,15 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro import telemetry
 from repro.analysis.campaign import (
     BugHunt,
-    CampaignConfig,
     CampaignResult,
-    _hunt_batch_task,
-    _hunt_task,
+    HuntGroup,
+    dispatch_hunts,
 )
-from repro.analysis.pool import PoolStats, ProgressFn, run_tasks
+from repro.analysis.pool import PoolStats, ProgressFn
 from repro.service.lease import DEFAULT_LEASE_SECONDS, LeaseManager
 from repro.service.manifest import CampaignManifest, Shard
 from repro.service.store import ResultStore
-from repro.sim.cpus import BugSpec, cpu_by_name
+from repro.sim.cpus import cpu_by_name
 
 
 def _merge_stats(
@@ -84,9 +84,11 @@ class JobRunner:
     survives without a heartbeat renewal; ``poll_seconds`` is how often
     the runner re-checks shards a live peer currently holds.  ``batch``
     overrides the manifest's hunts-per-pool-task granularity (see
-    :attr:`CampaignManifest.batch`); chunks never span shards, so
-    claiming, completion markers and persisted records are unchanged —
-    a batched drain is digest-identical to an unbatched one.
+    :attr:`CampaignManifest.batch`); each claimed shard is its own
+    :func:`~repro.analysis.campaign.dispatch_hunts` group, so chunks
+    never span shards and claiming, completion markers and persisted
+    records do not depend on it — a drain at any batch size is
+    digest-identical to one at any other.
     """
 
     def __init__(
@@ -227,29 +229,29 @@ class JobRunner:
 
     def _run_batch(
         self, claimed: List[Tuple[Shard, List[int]]]
-    ) -> Optional[PoolStats]:
-        """One pool batch over the claimed shards, persisting as hunts
-        land and marking each shard done at its last hunt."""
-        if self.batch > 1:
-            return self._run_batch_chunked(claimed)
+    ) -> PoolStats:
+        """One pool batch over the claimed shards, one dispatch group per
+        shard (chunks never span shards), persisting each hunt — a hung
+        one as its tombstone, so this session exits 2 and the next
+        resume retries it — as it lands, and marking each shard done at
+        its last hunt."""
+        groups: List[HuntGroup] = []
         refs: List[Tuple[Shard, int]] = []
-        tasks: List[Tuple[BugSpec, str, CampaignConfig, int]] = []
-        labels: List[str] = []
         remaining: Dict[str, int] = {}
         for shard, todo in claimed:
             remaining[shard.shard_id] = len(todo)
-            config = self.manifest.campaign_config(shard.seed)
             bugs = cpu_by_name(shard.cpu).bugs
+            groups.append((
+                f"{shard.shard_id[:8]}:",
+                self.manifest.campaign_config(shard.seed),
+                [(bugs[i], shard.cpu, i) for i in todo],
+            ))
             for index in todo:
                 self._attempted.add((shard.shard_id, index))
                 refs.append((shard, index))
-                tasks.append((bugs[index], shard.cpu, config, index))
-                labels.append(f"{shard.shard_id[:8]}:{bugs[index].name}")
-        if not tasks:
-            return None
 
-        def persist(task_index: int, hunt: BugHunt) -> None:
-            shard, bug_index = refs[task_index]
+        def persist(position: int, hunt: BugHunt) -> None:
+            shard, bug_index = refs[position]
             self.store.record_hunt(
                 shard.shard_id, bug_index, hunt, owner=self.owner
             )
@@ -258,102 +260,16 @@ class JobRunner:
                 self._finish_shard(shard.shard_id)
 
         with telemetry.span(
-            "service.job", job=self.manifest.job_id, hunts=len(tasks)
+            "service.job", job=self.manifest.job_id, hunts=len(refs)
         ):
-            results, stats = run_tasks(
-                _hunt_task,
-                tasks,
+            _, stats = dispatch_hunts(
+                groups,
+                self.batch,
                 workers=self.workers,
                 task_timeout=self.task_timeout,
-                labels=labels,
                 progress=self.progress,
-                on_result=persist,
+                on_hunt=persist,
             )
-        # Hung hunts never reach on_result; record them as tombstones
-        # (campaign-compatible hung accounting) so the shard resolves —
-        # this session exits 2, the next resume retries them.
-        for task_index, value in enumerate(results):
-            if value is not None:
-                continue
-            shard, bug_index = refs[task_index]
-            spec = tasks[task_index][0]
-            persist(task_index, BugHunt(
-                spec=spec, cpu=shard.cpu, detected=False, tests_run=0,
-                via="worker crashed or timed out", hung=True,
-            ))
-        return stats
-
-    def _run_batch_chunked(
-        self, claimed: List[Tuple[Shard, List[int]]]
-    ) -> Optional[PoolStats]:
-        """The ``batch > 1`` dispatch path: each pool task carries up to
-        ``batch`` hunts of one shard (chunks never span shards — every
-        hunt in a chunk shares the shard's :class:`CampaignConfig`, and
-        shard completion stays a per-shard countdown).  Hunts, records
-        and markers match the unbatched path exactly; only the task
-        round-trip count changes."""
-        chunk_refs: List[List[Tuple[Shard, int]]] = []
-        tasks: List[
-            Tuple[List[Tuple[BugSpec, str, int]], CampaignConfig]
-        ] = []
-        labels: List[str] = []
-        remaining: Dict[str, int] = {}
-        for shard, todo in claimed:
-            remaining[shard.shard_id] = len(todo)
-            config = self.manifest.campaign_config(shard.seed)
-            bugs = cpu_by_name(shard.cpu).bugs
-            for start in range(0, len(todo), self.batch):
-                chunk = todo[start : start + self.batch]
-                for index in chunk:
-                    self._attempted.add((shard.shard_id, index))
-                chunk_refs.append([(shard, i) for i in chunk])
-                tasks.append(
-                    ([(bugs[i], shard.cpu, i) for i in chunk], config)
-                )
-                suffix = f" (+{len(chunk) - 1})" if len(chunk) > 1 else ""
-                labels.append(
-                    f"{shard.shard_id[:8]}:{bugs[chunk[0]].name}{suffix}"
-                )
-        if not tasks:
-            return None
-
-        def persist(task_index: int, hunts: List[BugHunt]) -> None:
-            for (shard, bug_index), hunt in zip(
-                chunk_refs[task_index], hunts
-            ):
-                self.store.record_hunt(
-                    shard.shard_id, bug_index, hunt, owner=self.owner
-                )
-                remaining[shard.shard_id] -= 1
-                if remaining[shard.shard_id] == 0:
-                    self._finish_shard(shard.shard_id)
-
-        total = sum(len(refs) for refs in chunk_refs)
-        with telemetry.span(
-            "service.job", job=self.manifest.job_id, hunts=total
-        ):
-            results, stats = run_tasks(
-                _hunt_batch_task,
-                tasks,
-                workers=self.workers,
-                task_timeout=self.task_timeout,
-                labels=labels,
-                progress=self.progress,
-                on_result=persist,
-            )
-        # A hung chunk tombstones every member hunt — same accounting
-        # as the unbatched path, applied chunk-wide.
-        for task_index, value in enumerate(results):
-            if value is not None:
-                continue
-            specs = tasks[task_index][0]
-            persist(task_index, [
-                BugHunt(
-                    spec=spec, cpu=cpu_name, detected=False, tests_run=0,
-                    via="worker crashed or timed out", hung=True,
-                )
-                for spec, cpu_name, _ in specs
-            ])
         return stats
 
     # -- merging -------------------------------------------------------

@@ -105,11 +105,9 @@ class TestCampaignTables:
         assert len(grouped["CPU2"]) == 7
 
     def test_wall_and_cpu_seconds_split(self, small_campaign):
-        # Sequential campaign: both axes populated, and the deprecated
-        # alias keeps pointing at wall clock.
+        # Sequential campaign: both axes populated.
         assert small_campaign.wall_seconds > 0
         assert small_campaign.cpu_seconds >= 0
-        assert small_campaign.seconds == small_campaign.wall_seconds
         assert small_campaign.stats is not None
         assert small_campaign.stats.completed == len(small_campaign.hunts)
 

@@ -228,6 +228,25 @@ class TestStreamSession:
         assert not result.ok
         assert result.violation.kind == ViolationKind.UNMAPPED_VALUE
 
+    def test_record_from_undeclared_processor_is_rejected(self):
+        program, execution = parse_litmus("""
+            P0: S[A]#1
+            P1: L[A]=1
+        """)
+        session = StreamingChecker().open_session(
+            addresses=sorted(program.addresses()),
+            initial=program.initial,
+            nprocs=1,
+        )
+        assert session.feed(0, execution.records[0][0]) is None
+        with pytest.raises(ValueError, match="nprocs=1"):
+            session.feed(1, execution.records[1][0])
+        empty = StreamingChecker().open_session(
+            addresses=sorted(program.addresses()), nprocs=0
+        )
+        with pytest.raises(ValueError, match="nprocs=0"):
+            empty.feed(0, execution.records[0][0])
+
 
 class TestMachinePipelining:
     def test_stream_check_machine_matches_run(self):

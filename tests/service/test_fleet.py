@@ -34,9 +34,8 @@ def manifest(**kwargs):
     return CampaignManifest(**defaults)
 
 
-def fake_hunt_task(task):
+def fake_hunt_bug(spec, cpu, config, bug_index=0, scratch=None):
     """Deterministic, fast stand-in for a real hunt (always detects)."""
-    spec, cpu, config, index = task
     time.sleep(0.01)  # long enough for runners to interleave
     return BugHunt(
         spec=spec, cpu=cpu, detected=True, tests_run=1,
@@ -46,7 +45,7 @@ def fake_hunt_task(task):
 
 @pytest.fixture
 def fast_hunts(monkeypatch):
-    monkeypatch.setattr("repro.service.queue._hunt_task", fake_hunt_task)
+    monkeypatch.setattr("repro.analysis.campaign.hunt_bug", fake_hunt_bug)
 
 
 def hunt_lines(root):
@@ -180,62 +179,74 @@ class TestHungRetryAcrossSessions:
     ):
         m = manifest(seeds=(1,))
         [shard] = m.shards()
-        root = str(tmp_path / "job")
         stall = {"on": True}
 
-        def flaky(task):
-            spec, cpu, config, index = task
-            if index == 1 and stall["on"]:
+        def flaky(spec, cpu, config, bug_index=0, scratch=None):
+            if bug_index == 1 and stall["on"]:
                 raise RuntimeError("injected transient stall")
             return BugHunt(
                 spec=spec, cpu=cpu, detected=True, tests_run=1,
                 detected_on_seed=config.seed, via="TSO violation",
             )
 
-        monkeypatch.setattr("repro.service.queue._hunt_task", flaky)
+        monkeypatch.setattr("repro.analysis.campaign.hunt_bug", flaky)
 
-        # Session 1: hunt 1 fails its attempt and its retry — recorded
-        # as a hung tombstone, session exits 2, but the job completes.
-        first = JobRunner(m, quiet_store(root), owner="s1").run()
-        assert first.exit_code() == 2
-        assert first.hunts[1].hung
+        # At batch 4 hunt 1's whole chunk hangs and is tombstoned with it.
+        for batch in (1, 4):
+            root = str(tmp_path / f"job-b{batch}")
+            stall["on"] = True
 
-        # Session 2 (the "resume"): the stall was transient.  The
-        # tombstone is re-queued, the retry lands a real result, and
-        # the job reaches exit 0.
-        stall["on"] = False
-        second = JobRunner(m, quiet_store(root), owner="s2").run()
-        assert second.exit_code() == 0
-        assert not any(h.hung for h in second.hunts)
+            # Session 1: hunt 1 fails its attempt and its retry —
+            # recorded as a hung tombstone, session exits 2, but the
+            # job completes.
+            first = JobRunner(
+                m, quiet_store(root), owner="s1", batch=batch
+            ).run()
+            assert first.exit_code() == 2
+            assert first.hunts[1].hung
 
-        # Exactly one session's retry is allowed per run: the stubborn
-        # case stays exit 2 instead of looping forever.
-        stall["on"] = True
-        third = JobRunner(m, quiet_store(root), owner="s3").run()
-        assert third.exit_code() == 0  # the real result persisted
+            # Session 2 (the "resume"): the stall was transient.  The
+            # tombstone is re-queued, the retry lands a real result,
+            # and the job reaches exit 0.
+            stall["on"] = False
+            second = JobRunner(
+                m, quiet_store(root), owner="s2", batch=batch
+            ).run()
+            assert second.exit_code() == 0
+            assert not any(h.hung for h in second.hunts)
+
+            # Exactly one session's retry is allowed per run: the
+            # stubborn case stays exit 2 instead of looping forever.
+            stall["on"] = True
+            third = JobRunner(
+                m, quiet_store(root), owner="s3", batch=batch
+            ).run()
+            assert third.exit_code() == 0  # the real result persisted
 
     def test_stubborn_hang_terminates_each_session(
         self, tmp_path, monkeypatch
     ):
         m = manifest(seeds=(1,))
-        root = str(tmp_path / "job")
 
-        def always_stalls(task):
-            spec, cpu, config, index = task
-            if index == 1:
+        def always_stalls(spec, cpu, config, bug_index=0, scratch=None):
+            if bug_index == 1:
                 raise RuntimeError("permanent stall")
             return BugHunt(
                 spec=spec, cpu=cpu, detected=True, tests_run=1,
                 detected_on_seed=config.seed, via="TSO violation",
             )
 
-        monkeypatch.setattr("repro.service.queue._hunt_task", always_stalls)
-        for session in range(2):
-            result = JobRunner(
-                m, quiet_store(root), owner=f"s{session}"
-            ).run()
-            assert result.exit_code() == 2
-            assert result.hunts[1].hung
+        monkeypatch.setattr(
+            "repro.analysis.campaign.hunt_bug", always_stalls
+        )
+        for batch in (1, 4):
+            root = str(tmp_path / f"job-b{batch}")
+            for session in range(2):
+                result = JobRunner(
+                    m, quiet_store(root), owner=f"s{session}", batch=batch
+                ).run()
+                assert result.exit_code() == 2
+                assert result.hunts[1].hung
 
 
 class TestCompactionEndToEnd:

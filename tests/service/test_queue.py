@@ -9,6 +9,9 @@ from repro.service.store import ResultStore, hunt_digest
 from repro.sim.cpus import cpu_by_name
 
 FAST = dict(tests_per_bug=4)
+#: JobRunner batch sizes the dispatch tests drain at: one hunt per pool
+#: task, and chunks of several hunts per shard.
+BATCHES = (1, 4)
 
 
 def manifest(**kwargs):
@@ -20,16 +23,19 @@ def manifest(**kwargs):
 class TestRun:
     def test_fresh_run_matches_run_campaign(self, tmp_path):
         m = manifest()
-        runner = JobRunner(m, ResultStore(str(tmp_path)))
-        result = runner.run()
         reference = run_campaign(
             cpus=[cpu_by_name("CPU1")], config=m.campaign_config(2004)
         )
-        # Hunt-for-hunt identity — the service must not perturb seeds.
-        assert result.hunts == reference.hunts
-        assert format_table1(result) == format_table1(reference)
-        assert format_table2(result) == format_table2(reference)
-        assert result.exit_code() == reference.exit_code()
+        for batch in BATCHES:
+            runner = JobRunner(
+                m, ResultStore(str(tmp_path / f"b{batch}")), batch=batch
+            )
+            result = runner.run()
+            # Hunt-for-hunt identity — the service must not perturb seeds.
+            assert result.hunts == reference.hunts
+            assert format_table1(result) == format_table1(reference)
+            assert format_table2(result) == format_table2(reference)
+            assert result.exit_code() == reference.exit_code()
 
     def test_multi_seed_order_is_seed_major(self, tmp_path):
         m = manifest(seeds=(1, 2), cpus=("CPU1", "CPU2"))
@@ -72,32 +78,35 @@ class TestResume:
     def test_partial_store_runs_only_missing(self, tmp_path):
         m = manifest(seeds=(1, 2))
         shard_a, shard_b = m.shards()
-
-        # Seed the store with shard A complete, shard B empty.
-        full_store = ResultStore(str(tmp_path))
-        runner = JobRunner(m, full_store)
-        [(_, missing_a), (_, _)] = runner.pending()
-        config = m.campaign_config(shard_a.seed)
         from repro.analysis.campaign import hunt_bug
-        for i in missing_a:
-            spec = cpu_by_name(shard_a.cpu).bugs[i]
-            full_store.record_hunt(
-                shard_a.shard_id, i, hunt_bug(spec, shard_a.cpu, config, i)
-            )
-        full_store.mark_shard_done(shard_a.shard_id)
-        full_store.close()
-
-        store = ResultStore(str(tmp_path))
-        resumed = JobRunner(m, store)
-        pending = resumed.pending()
-        assert [s.shard_id for s, _ in pending] == [shard_b.shard_id]
-        result = resumed.run()
-        assert result.exit_code() == 0
-
-        # Digest-set equality with a from-scratch run of the same job.
+        config = m.campaign_config(shard_a.seed)
         scratch = ResultStore(str(tmp_path / "scratch"))
         JobRunner(m, scratch).run()
-        assert store.hunt_digests() == scratch.hunt_digests()
+
+        for batch in BATCHES:
+            root = str(tmp_path / f"b{batch}")
+            # Seed the store with shard A complete, shard B empty.
+            full_store = ResultStore(root)
+            runner = JobRunner(m, full_store, batch=batch)
+            [(_, missing_a), (_, _)] = runner.pending()
+            for i in missing_a:
+                spec = cpu_by_name(shard_a.cpu).bugs[i]
+                full_store.record_hunt(
+                    shard_a.shard_id, i,
+                    hunt_bug(spec, shard_a.cpu, config, i),
+                )
+            full_store.mark_shard_done(shard_a.shard_id)
+            full_store.close()
+
+            store = ResultStore(root)
+            resumed = JobRunner(m, store, batch=batch)
+            pending = resumed.pending()
+            assert [s.shard_id for s, _ in pending] == [shard_b.shard_id]
+            result = resumed.run()
+            assert result.exit_code() == 0
+
+            # Digest-set equality with a from-scratch run of the same job.
+            assert store.hunt_digests() == scratch.hunt_digests()
 
     def test_torn_marker_is_reappended_without_rerun(self, tmp_path):
         m = manifest()

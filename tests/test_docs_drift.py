@@ -3,7 +3,8 @@
 Two tables drift whenever an engine or a checker counter is added or
 retired: the engine table in ``docs/engines.md`` must list exactly the
 registered engines, and ``docs/telemetry.md`` must name every ``check.*``
-metric that :func:`repro.telemetry.record_check` emits.
+metric that :func:`repro.telemetry.record_check` emits and every
+``sim.*``, ``pool.*`` and ``service.*`` metric name the code spells out.
 """
 
 import dataclasses
@@ -14,13 +15,33 @@ from repro.core.api import ENGINES
 from repro.core.result import CheckStats
 from repro.telemetry import registry
 
-DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DOCS = ROOT / "docs"
+SRC = ROOT / "src" / "repro"
 
 
 def _engine_table_names():
     """First-column names of the engine table rows (``| `name` | ...``)."""
     text = (DOCS / "engines.md").read_text()
     return re.findall(r"^\| `([^`]+)` +\|", text, flags=re.MULTILINE)
+
+
+def _documented_metrics():
+    """Every backticked metric-like name in ``docs/telemetry.md``."""
+    return set(
+        re.findall(r"`([a-z_.<>]+)`", (DOCS / "telemetry.md").read_text())
+    )
+
+
+def _layer_metric_literals():
+    """Every ``"sim.*"``, ``"pool.*"`` and ``"service.*"`` string literal
+    under ``src/repro/`` — the counters, histograms, timers and spans
+    those layers emit by name."""
+    pattern = re.compile(r'"((?:sim|pool|service)\.[a-z_.]+)"')
+    names = set()
+    for path in SRC.rglob("*.py"):
+        names.update(pattern.findall(path.read_text()))
+    return names
 
 
 def _emitted_check_metrics():
@@ -46,9 +67,7 @@ def test_engine_table_matches_registry():
 
 
 def test_every_emitted_check_metric_is_documented():
-    documented = set(
-        re.findall(r"`([a-z_.<>]+)`", (DOCS / "telemetry.md").read_text())
-    )
+    documented = _documented_metrics()
     emitted = _emitted_check_metrics()
     assert {f"check.engine.{engine}" for engine in ENGINES} <= emitted
     missing = sorted(
@@ -56,4 +75,12 @@ def test_every_emitted_check_metric_is_documented():
         if re.sub(r"^check\.engine\..+$", "check.engine.<name>", name)
         not in documented
     )
+    assert not missing, f"undocumented in docs/telemetry.md: {missing}"
+
+
+def test_every_sim_pool_and_service_metric_is_documented():
+    literals = _layer_metric_literals()
+    # The scan must see each layer, or an empty scan would pass vacuously.
+    assert {"sim.runs", "pool.batch_size", "service.hunts"} <= literals
+    missing = sorted(literals - _documented_metrics())
     assert not missing, f"undocumented in docs/telemetry.md: {missing}"
