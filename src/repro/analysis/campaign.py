@@ -466,8 +466,12 @@ def _record_detection(
     """Re-run the detecting attempt under a recorder; return the trace JSON.
 
     Program, fault and policy are all rebuilt from the same seeds, so the
-    recorded run is the detected run; the one extra simulation per
-    detected bug is noise next to the attempts that led to it.
+    recorded run is the detected run.  The extra simulation per detected
+    bug is not cheap: a campaign hunt usually detects on its first or
+    second attempt, so a full roster makes 106 recording runs next to
+    about 125-135 attempts, and ``sched.record`` takes 16-19% of a
+    campaign unit's self time.  ROADMAP.md (item 1) removes it by
+    recording every attempt and keeping the detecting attempt's trace.
     """
     recorder = RecordingPolicy(make_policy(config.sched, seed=seed))
     recorder.trace.meta.update(

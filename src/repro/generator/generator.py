@@ -26,6 +26,8 @@ Generation is deterministic per (config, seed).
 from __future__ import annotations
 
 import random
+from bisect import bisect
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import telemetry
@@ -54,6 +56,20 @@ from repro.model.program import Program, Thread
 
 #: A unit recipe: materializes one or more instructions into a thread.
 _Recipe = Callable[[List[Instr]], None]
+
+
+def _weighted(rng: random.Random, population: List, cum_weights: List[float]):
+    """One draw of ``rng.choices(population, cum_weights=cum_weights)[0]``.
+
+    The same single ``rng.random()`` call and the same bisection as the
+    library, without building a one-element list per draw.
+    """
+    total = cum_weights[-1] + 0.0
+    if total <= 0.0:
+        raise ValueError("Total of weights must be greater than zero")
+    return population[
+        bisect(cum_weights, rng.random() * total, 0, len(population) - 1)
+    ]
 
 
 def generate_program(config: GeneratorConfig, seed: int = 0) -> Program:
@@ -88,12 +104,21 @@ class _ThreadGenerator:
         self.rng = rng
         self.words = config.word_addresses()
         self.nc_words = config.nc_addresses()
+        # Cumulative weights, built once for every draw (``rng.choices``
+        # with ``weights=`` would rebuild them each time).
         mix = config.mix.weights()
         self._kinds = [name for name, _ in mix]
-        self._weights = [weight for _, weight in mix]
+        self._kind_cum = list(accumulate(weight for _, weight in mix))
         sizes = sorted(config.size_weights.items())
         self._sizes = [s for s, _ in sizes]
-        self._size_weights = [w for _, w in sizes]
+        self._size_cum = list(accumulate(w for _, w in sizes))
+        # Atomics come in 4- and 8-byte flavours; respect the configured
+        # size weights so targets without 8-byte atomics (the C11
+        # backend) can restrict them.
+        self._atomic_sizes = [s for s in self._sizes if s in (4, 8)] or [4]
+        self._atomic_cum = list(accumulate(
+            config.size_weights.get(s, 1.0) for s in self._atomic_sizes
+        ))
         span = config.shared_words * config.stride_words * WORD_SIZE
         self._block_lines = max(1, span // BLOCK_SIZE)
 
@@ -131,7 +156,7 @@ class _ThreadGenerator:
 
     def _pick_unit(self, position: int, budget: int) -> Tuple[_Recipe, int]:
         """Choose one instruction unit; returns (recipe, instruction cost)."""
-        kind = self.rng.choices(self._kinds, weights=self._weights, k=1)[0]
+        kind = _weighted(self.rng, self._kinds, self._kind_cum)
         if kind == "load":
             addr, size = self._scalar_access()
             return (lambda out: out.append(ILoad(addr=addr, size=size))), 1
@@ -253,17 +278,12 @@ class _ThreadGenerator:
         return self.rng.choice(self.words)
 
     def _scalar_access(self) -> Tuple[int, int]:
-        size = self.rng.choices(self._sizes, weights=self._size_weights, k=1)[0]
+        size = _weighted(self.rng, self._sizes, self._size_cum)
         addr = self._word()
         return addr - (addr % size), size
 
     def _atomic_access(self) -> Tuple[int, int]:
-        # Atomics come in 4- and 8-byte flavours; respect the configured
-        # size weights so targets without 8-byte atomics (the C11
-        # backend) can restrict them.
-        sizes = [s for s in self._sizes if s in (4, 8)] or [4]
-        weights = [self.config.size_weights.get(s, 1.0) for s in sizes]
-        size = self.rng.choices(sizes, weights=weights, k=1)[0]
+        size = _weighted(self.rng, self._atomic_sizes, self._atomic_cum)
         addr = self._word()
         return addr - (addr % size), size
 

@@ -51,12 +51,8 @@ from repro.service.store import ResultStore
 from repro.sim.cpus import cpu_by_name
 
 
-def _merge_stats(
-    total: Optional[PoolStats], batch: Optional[PoolStats]
-) -> Optional[PoolStats]:
+def _merge_stats(total: Optional[PoolStats], batch: PoolStats) -> PoolStats:
     """Fold one batch's PoolStats into the job's running total."""
-    if batch is None:
-        return total
     if total is None:
         return batch
     per_worker = dict(total.per_worker)

@@ -191,6 +191,35 @@ class Fault:
         return None
 
 
+#: Every hook point above.  The machine dispatches each hook only to the
+#: faults that override it (see :func:`overrides`); a hook added to
+#: :class:`Fault` must be listed here or the machine never calls it.
+FAULT_HOOKS = (
+    "on_commit",
+    "invalidate_verdict",
+    "translate_load",
+    "skip_forwarding",
+    "on_load_value",
+    "on_buffer_push",
+    "pick_drain_index",
+    "membar_effective",
+    "atomic_window",
+    "corrupt_record",
+    "monitor_alarm",
+)
+
+
+def overrides(fault: Fault, hook: str) -> bool:
+    """Whether ``fault`` replaces the base class's no-op ``hook``.
+
+    True for a subclass override and for a callable set on the instance.
+    Skipping a fault that does not override a hook changes nothing: every
+    base hook returns its neutral value and draws no randomness.
+    """
+    method = getattr(fault, hook)
+    return getattr(method, "__func__", None) is not getattr(Fault, hook)
+
+
 # ---------------------------------------------------------------------------
 # LSU
 # ---------------------------------------------------------------------------

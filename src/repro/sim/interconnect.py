@@ -60,7 +60,7 @@ class Interconnect:
         addr: int,
         tick: int,
         deliver: Callable[[int, int], None],
-        verdict: Callable[[int, int, int], Tuple[str, int]],
+        verdict: Optional[Callable[[int, int, int], Tuple[str, int]]] = None,
     ) -> None:
         """Invalidate ``addr``'s line in every other CPU's cache.
 
@@ -71,17 +71,23 @@ class Interconnect:
             deliver: callback ``(victim, addr)`` that performs the
                 invalidation.
             verdict: fault hook ``(src, victim, addr) -> (action, delay)``
-                where action is DELIVER, DROP or DELAY.
+                where action is DELIVER, DROP or DELAY; ``None`` when no
+                fault intercepts invalidates, which makes every verdict
+                DELIVER without a call per victim.
         """
+        jitter = self.jitter if self.policy is not None else 0
         for victim in range(self.ncpus):
             if victim == src:
                 continue
-            action, delay = verdict(src, victim, addr)
-            if action == DELIVER and self.jitter > 0 and self.policy is not None:
+            if verdict is None:
+                action, delay = DELIVER, 0
+            else:
+                action, delay = verdict(src, victim, addr)
+            if action == DELIVER and jitter:
                 # The policy may stretch an immediate delivery into a
                 # short in-flight window — a legal reordering axis the
                 # exploration policies can probe without a fault model.
-                extra = self.policy.pick_delay(0, self.jitter)
+                extra = self.policy.pick_delay(0, jitter)
                 if extra > 0:
                     action, delay = DELAY, extra
             if action == DELIVER:

@@ -185,3 +185,30 @@ class TestGeneration:
             GeneratorConfig(nprocs=1, ops_per_proc=1, shared_words=1), seed=0
         )
         assert len(program.threads[0]) == 1
+
+
+class TestWeightedDraw:
+    """The generator's precomputed-weight draw is ``random.choices``."""
+
+    def test_matches_random_choices_draw_for_draw(self):
+        import random
+        from itertools import accumulate
+
+        from repro.generator.generator import _weighted
+
+        population = ["a", "b", "c", "d"]
+        weights = [35.0, 0.5, 4.0, 1.5]
+        cum = list(accumulate(weights))
+        ours, library = random.Random(9), random.Random(9)
+        for _ in range(2000):
+            assert _weighted(ours, population, cum) == library.choices(
+                population, weights=weights, k=1
+            )[0]
+
+    def test_zero_total_weight_is_rejected(self):
+        import random
+
+        from repro.generator.generator import _weighted
+
+        with pytest.raises(ValueError):
+            _weighted(random.Random(0), [4, 8], [0.0, 0.0])

@@ -152,6 +152,14 @@ class TestCache:
         assert cache.lookup(0) == 1
         assert cache.lookup(0) is None  # expired and dropped
 
+    def test_install_on_a_resident_line_keeps_the_line(self):
+        cache = CpuCache()
+        cache.install(0, 1)
+        line = cache.line(0)
+        cache.install(4, 2, dirty=True)
+        assert cache.line(4) is line
+        assert line.words == {0: 1, 4: 2} and line.dirty_words == {4}
+
     def test_clear(self):
         cache = CpuCache()
         cache.install(0, 1)
@@ -192,6 +200,35 @@ class TestInterconnect:
         assert ic.deliver_due(14, lambda v, a: delivered.append(v)) == 0
         assert ic.deliver_due(15, lambda v, a: delivered.append(v)) == 1
         assert delivered == [1]
+
+    def test_no_verdict_delivers_to_every_other_cpu(self):
+        ic = Interconnect(4)
+        delivered = []
+        ic.broadcast(
+            src=2, addr=8, tick=0,
+            deliver=lambda v, a: delivered.append((v, a)),
+        )
+        assert delivered == [(0, 8), (1, 8), (3, 8)] and ic.pending == []
+
+    def test_no_verdict_still_draws_jitter_per_victim(self):
+        class Delays:
+            def __init__(self):
+                self.calls = []
+
+            def pick_delay(self, lo, hi):
+                self.calls.append((lo, hi))
+                return len(self.calls) % 2  # 1, 0, 1
+
+        policy = Delays()
+        ic = Interconnect(4, policy=policy, jitter=3)
+        delivered = []
+        ic.broadcast(
+            src=0, addr=4, tick=10,
+            deliver=lambda v, a: delivered.append(v),
+        )
+        assert policy.calls == [(0, 3)] * 3
+        assert delivered == [2]
+        assert [(p.due_tick, p.victim) for p in ic.pending] == [(11, 1), (11, 3)]
 
     def test_flush_delivers_everything(self):
         ic = Interconnect(2)

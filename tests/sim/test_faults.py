@@ -280,3 +280,56 @@ class TestDrainIndexZeroRegression:
         machine._drain_one(machine.cpus[0])
         assert buffer.peek(0).tag == "head"
         assert machine.commit_order[-1] == (8, 22)
+
+
+class TestHookDispatch:
+    """The machine calls a hook only on the faults that override it."""
+
+    def test_every_fault_hook_is_listed(self):
+        from repro.sim.faults import FAULT_HOOKS
+
+        housekeeping = {"attach", "fire", "report"}
+        hooks = {
+            name for name, value in vars(Fault).items()
+            if callable(value) and not name.startswith("_")
+        } - housekeeping
+        assert hooks == set(FAULT_HOOKS)
+
+    def test_roster_mechanisms_each_override_one_hook(self):
+        from repro.sim.cpus import CPU_CONFIGS
+        from repro.sim.faults import FAULT_HOOKS, overrides
+
+        for cpu in CPU_CONFIGS:
+            for spec in cpu.bugs:
+                fault = spec.instantiate()
+                assert sum(overrides(fault, h) for h in FAULT_HOOKS) == 1
+
+    def test_tables_hold_only_overriders_and_are_rebuilt_on_reset(self):
+        program = generate_program(GeneratorConfig(nprocs=2, ops_per_proc=20))
+        stale, alarm = StaleForwardFault(rate=0.5), MonitorFalseAlarmFault()
+        machine = TsoMachine(program, seed=1, faults=[stale, alarm])
+        assert machine._hooks.skip_forwarding == [stale.skip_forwarding]
+        assert machine._hooks.monitor_alarm == [alarm.monitor_alarm]
+        assert machine._hooks.translate_load == []
+        machine.reset(program, seed=1, faults=[])
+        assert machine._hooks.skip_forwarding == []
+        assert machine._hooks.monitor_alarm == []
+
+    def test_hook_set_on_the_instance_is_dispatched(self):
+        program = generate_program(GeneratorConfig(nprocs=2, ops_per_proc=20))
+        fault = Fault()
+        seen = []
+        fault.corrupt_record = lambda cpu, rec: seen.append(cpu) or rec
+        machine = TsoMachine(program, seed=1, faults=[fault])
+        machine.run()
+        assert len(seen) == sum(len(cpu.records) for cpu in machine.cpus)
+
+    def test_base_fault_changes_nothing(self):
+        """A fault overriding no hook is never called and leaves the run
+        byte-identical to the golden one."""
+        program = generate_program(GeneratorConfig(nprocs=3, ops_per_proc=60))
+        golden = TsoMachine(program, seed=4)
+        with_noop = TsoMachine(program, seed=4, faults=[Fault(rate=1.0)])
+        assert with_noop.run().dump() == golden.run().dump()
+        assert with_noop.commit_order == golden.commit_order
+        assert with_noop.tick == golden.tick
