@@ -37,11 +37,6 @@ class Cpu:
     #: detection); -1 before any load.
     last_load_line: int = -1
 
-    @property
-    def done(self) -> bool:
-        """True once every instruction has issued (buffer may still drain)."""
-        return self.pc >= len(self.thread)
-
     def current(self) -> Instr:
         """The next instruction to issue."""
         return self.thread.instrs[self.pc]
