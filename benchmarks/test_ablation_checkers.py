@@ -1,4 +1,4 @@
-"""Ablation: the literal Fig. 2 traversal engine vs the closure engine.
+"""Ablation: the literal Fig. 2 traversal engine vs the vc engine.
 
 DESIGN.md design-choice #1: the paper reports minutes of analysis for
 100k-operation programs on a 450 MHz UltraSPARC-II, which requires
@@ -10,7 +10,7 @@ verdict (also enforced by property tests) while differing in cost.
 import pytest
 
 from repro.core.checker import BaselineChecker
-from repro.core.closure import ClosureChecker
+from repro.core.vc import VectorClockChecker
 from repro.generator.config import GeneratorConfig
 from repro.generator.generator import generate_program
 from repro.model.expansion import expand
@@ -51,30 +51,30 @@ def test_ablation_baseline_engine(benchmark, aprog):
     )
 
 
-def test_ablation_closure_engine(benchmark, aprog):
-    """The production engine: bitset reachability, no traversals."""
-    checker = ClosureChecker()
+def test_ablation_vc_engine(benchmark, aprog):
+    """The production engine: chain frontiers, no traversals."""
+    checker = VectorClockChecker()
     result = benchmark.pedantic(
         lambda: checker.run(aprog), rounds=3, iterations=1, warmup_rounds=1
     )
     assert result.ok
-    benchmark.extra_info.update(engine="closure", edges=result.stats.edges)
+    benchmark.extra_info.update(engine="vc", edges=result.stats.edges)
 
 
 def test_ablation_engines_agree_and_speedup(benchmark, aprog, record):
-    """Same verdict; the closure engine should win by a wide margin."""
+    """Same verdict; the vc engine should win by a wide margin."""
     baseline = BaselineChecker().run(aprog)
-    closure = ClosureChecker().run(aprog)
-    assert baseline.ok == closure.ok
-    speedup = baseline.stats.seconds / max(closure.stats.seconds, 1e-9)
+    vc = VectorClockChecker().run(aprog)
+    assert baseline.ok == vc.ok
+    speedup = baseline.stats.seconds / max(vc.stats.seconds, 1e-9)
     record(
         "ablation_checkers",
-        "Ablation: Fig. 2 traversal engine vs bitset closure engine\n"
+        "Ablation: Fig. 2 traversal engine vs vector-clock engine\n"
         f"  nodes={aprog.n} ops~{TOTAL_OPS}\n"
         f"  baseline: {baseline.stats.seconds * 1e3:9.2f} ms "
         f"({baseline.stats.traversals} traversals, "
         f"{baseline.stats.traversal_visits} nodes visited)\n"
-        f"  closure:  {closure.stats.seconds * 1e3:9.2f} ms\n"
+        f"  vc:       {vc.stats.seconds * 1e3:9.2f} ms\n"
         f"  speedup:  {speedup:.1f}x",
     )
     assert speedup > 3.0, f"expected a clear win, got {speedup:.1f}x"

@@ -8,7 +8,7 @@ violations each configuration catches, and what it pays.
 
 import pytest
 
-from repro.core.closure import ClosureChecker
+from repro.core.vc import VectorClockChecker
 from repro.generator.config import GeneratorConfig
 from repro.generator.generator import generate_program
 from repro.generator.litmus import LITMUS_LIBRARY
@@ -24,8 +24,8 @@ def _violating_tso_cases():
 
 def test_rule_ablation_detection_rate(benchmark, record):
     """R6/R7 off: how many litmus and injected violations survive?"""
-    full = ClosureChecker()
-    ablated = ClosureChecker(inferred_rules=False)
+    full = VectorClockChecker()
+    ablated = VectorClockChecker(inferred_rules=False)
 
     litmus_cases = _violating_tso_cases()
     full_catches = ablated_catches = 0
@@ -81,8 +81,8 @@ def test_rule_ablation_runtime(benchmark):
     execution = TsoMachine(program, seed=23).run()
     aprog = expand(execution, initial=program.initial)
 
-    full = ClosureChecker()
-    ablated = ClosureChecker(inferred_rules=False)
+    full = VectorClockChecker()
+    ablated = VectorClockChecker(inferred_rules=False)
     result = benchmark.pedantic(
         lambda: full.run(aprog), rounds=3, iterations=1, warmup_rounds=1
     )

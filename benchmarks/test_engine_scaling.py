@@ -2,16 +2,14 @@
 
 Complements ``test_ablation_checkers.py`` (one size) with a sweep,
 recording where each engine's cost structure bites: the traversal
-baseline's per-iteration BFS cost, the int-bitset closure's per-pass
-rebuilds, and the incremental vector-clock engine's frontier
-maintenance (which buys it exactly one closure build regardless of
-iteration count).
+baseline's per-iteration BFS cost, and the incremental vector-clock
+engine's frontier maintenance (which buys it exactly one closure build
+regardless of iteration count).
 """
 
 import pytest
 
 from repro.core.checker import BaselineChecker
-from repro.core.closure import ClosureChecker
 from repro.core.vc import VectorClockChecker
 from repro.generator.config import GeneratorConfig
 from repro.generator.generator import generate_program
@@ -20,19 +18,15 @@ from repro.sim.machine import TsoMachine
 
 ENGINES = {
     "baseline": BaselineChecker,
-    "closure": ClosureChecker,
     "vc": VectorClockChecker,
 }
 
-#: Total-op sweep; the slower engines are capped at the smaller sizes
-#: (the traversal engine's cost at 1600 ops is tens of seconds — the
-#: point of the ablation — and the per-pass rebuild engines take tens
-#: of seconds at 3200).  The upper sizes show the vc engine's growth
-#: alone.
+#: Total-op sweep; the traversal engine is capped at the smaller sizes
+#: (its cost at 1600 ops is tens of seconds — the point of the
+#: ablation).  The upper sizes show the vc engine's growth alone.
 SIZES = (200, 400, 800, 1600, 3200)
 BASELINE_MAX = 400
-REBUILD_MAX = 800
-_CAPS = {"baseline": BASELINE_MAX, "closure": REBUILD_MAX}
+_CAPS = {"baseline": BASELINE_MAX}
 
 
 def _aprog(total_ops: int, seed: int = 31):
@@ -78,7 +72,7 @@ def test_engine_scaling_series(benchmark, record):
         rows.append(" ".join(cells))
     record(
         "engine_scaling",
-        "Engine scaling (same rules, three batch implementations)\n"
+        "Engine scaling (same rules, two batch implementations)\n"
         + "\n".join(rows),
     )
     assert verdicts == {True}

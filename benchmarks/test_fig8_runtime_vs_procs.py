@@ -46,7 +46,7 @@ def _aprog(nprocs: int, total_ops: int, seed: int = 8):
 def test_fig8_point(benchmark, nprocs, total_ops):
     """One (processor count, operation count) point of Fig. 8."""
     aprog = _aprog(nprocs, total_ops)
-    checker = make_checker(TSO, "closure")
+    checker = make_checker(TSO, "vc")
     result = benchmark.pedantic(
         lambda: checker.run(aprog), rounds=3, iterations=1, warmup_rounds=1
     )

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro import telemetry
-from repro.core.closure import ClosureChecker
+from repro.core.vc import VectorClockChecker
 from repro.generator.config import GeneratorConfig
 from repro.generator.generator import generate_program
 from repro.model.expansion import expand
@@ -71,7 +71,7 @@ def _interleaved_min(run, rounds=ROUNDS):
 
 def test_null_sink_overhead_on_check_pipeline(record):
     aprog = _aprog()
-    checker = ClosureChecker()
+    checker = VectorClockChecker()
     checker.run(aprog)  # warmup both code paths
     disabled, enabled = _interleaved_min(lambda: checker.run(aprog))
     ratio = enabled / disabled
@@ -83,7 +83,7 @@ def test_null_sink_overhead_on_check_pipeline(record):
 
     record(
         "telemetry_overhead",
-        "Telemetry overhead (closure engine, 400-op analysis program)\n"
+        "Telemetry overhead (vc engine, 400-op analysis program)\n"
         f"  disabled       {disabled * 1e3:8.2f} ms/check (min of {ROUNDS})\n"
         f"  null sink      {enabled * 1e3:8.2f} ms/check (min of {ROUNDS})\n"
         f"  ratio          {ratio:8.3f}  (bound {MAX_OVERHEAD})\n"

@@ -38,7 +38,6 @@ from repro.core import (
     TSO,
     BaselineChecker,
     CheckResult,
-    ClosureChecker,
     CompleteResult,
     EdgeReason,
     MemoryModel,
@@ -73,7 +72,6 @@ __all__ = [
     "PSO",
     "MemoryModel",
     "BaselineChecker",
-    "ClosureChecker",
     "CheckResult",
     "CompleteResult",
     "EdgeReason",

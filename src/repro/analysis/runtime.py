@@ -44,8 +44,8 @@ class RuntimePoint:
     edges: int
     iterations: int
     seconds: float
-    #: Closure rebuilds the engine paid (per-pass engines: one per
-    #: iteration; the vc engine: exactly one, its headline property).
+    #: Closure rebuilds the engine paid (the vc engine: exactly one,
+    #: its headline property; the other engines build none).
     closure_rebuilds: int = 0
 
     def row(self) -> str:

@@ -10,12 +10,10 @@ Public surface:
   with per-edge reasons, DOT export,
 * :class:`repro.core.checker.BaselineChecker` — the literal Fig. 2
   algorithm,
-* :class:`repro.core.closure.ClosureChecker` /
-  :class:`repro.core.vc.VectorClockChecker` /
+* :class:`repro.core.vc.VectorClockChecker` /
   :class:`repro.core.stream.StreamingChecker` — the optimized engines
-  (per-pass bitset closure, the default incremental chain-frontier
-  engine, and its record-at-a-time streaming twin; see
-  ``docs/engines.md``),
+  (the default incremental chain-frontier engine, and its
+  record-at-a-time streaming twin; see ``docs/engines.md``),
 * :func:`repro.core.complete.complete_check` — the exponential complete
   decision procedure (enforces the Order axiom; small programs only).
 
@@ -26,7 +24,6 @@ from repro.core.policy import TSO, SC, PSO, MemoryModel
 from repro.core.api import check, check_execution, check_litmus
 from repro.core.result import CheckResult, Violation, ViolationKind, EdgeReason
 from repro.core.checker import BaselineChecker
-from repro.core.closure import ClosureChecker
 from repro.core.vc import VectorClockChecker
 from repro.core.complete import complete_check, CompleteResult
 from repro.core.axioms import verify_witness
@@ -47,7 +44,6 @@ __all__ = [
     "ViolationKind",
     "EdgeReason",
     "BaselineChecker",
-    "ClosureChecker",
     "VectorClockChecker",
     "complete_check",
     "CompleteResult",

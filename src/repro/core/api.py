@@ -28,7 +28,6 @@ from typing import Dict, Optional
 
 from repro import telemetry
 from repro.core.checker import BaselineChecker
-from repro.core.closure import ClosureChecker
 from repro.core.policy import MemoryModel, TSO
 from repro.core.result import CheckResult
 from repro.core.stream import StreamingChecker
@@ -40,13 +39,12 @@ from repro.model.trace import Execution
 #: Registered checker engines, by name.
 ENGINES = {
     "baseline": BaselineChecker,
-    "closure": ClosureChecker,
     "stream": StreamingChecker,
     "vc": VectorClockChecker,
 }
 
 #: The production default: the incremental vector-clock engine (see
-#: ``docs/engines.md`` for the four engines and when to pick each).
+#: ``docs/engines.md`` for the three engines and when to pick each).
 DEFAULT_ENGINE = "vc"
 
 

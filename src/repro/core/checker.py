@@ -18,7 +18,7 @@ every iteration (the paper flags a violation as soon as a cycle is found).
 This engine performs the predecessor/successor discovery for R6/R7 by
 plain breadth-first traversal each iteration — the straightforward reading
 of the pseudo-code, kept as the readable reference and as the ablation
-baseline for :class:`repro.core.closure.ClosureChecker`.
+baseline for :class:`repro.core.vc.VectorClockChecker`.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def load_edges(
 
 
 def r6_reason(s_prime: int, load: int, target: int) -> EdgeReason:
-    """Why R6 orders ``s_prime`` before ``target`` (closure/vc/stream)."""
+    """Why R6 orders ``s_prime`` before ``target`` (vc/stream)."""
     return EdgeReason(
         "R6",
         f"store n{s_prime} precedes load n{load}, which "
@@ -123,7 +123,7 @@ def r6_reason(s_prime: int, load: int, target: int) -> EdgeReason:
 
 
 def r7_reason(load: int, store: int, s_prime: int) -> EdgeReason:
-    """Why R7 orders ``load`` before ``s_prime`` (closure/vc/stream)."""
+    """Why R7 orders ``load`` before ``s_prime`` (vc/stream)."""
     return EdgeReason(
         "R7",
         f"load n{load} observed store n{store}, which "

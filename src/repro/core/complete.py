@@ -34,8 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.core.closure import ClosureChecker, iter_bits
+from repro.core.graph import compute_closure, topological_order
 from repro.core.policy import MemoryModel, TSO
+from repro.core.prep import iter_bits
+from repro.core.vc import VectorClockChecker
 from repro.model.expansion import AnalysisProgram, NO_GROUP, OpKind
 
 
@@ -90,45 +92,19 @@ def complete_check(
 def _closure_constraints(
     aprog: AnalysisProgram, model: MemoryModel
 ) -> Tuple[bool, List[int]]:
-    """Run the polynomial checker; return (flagged, ancestor bitsets)."""
-    result = ClosureChecker(model).run(aprog)
+    """Run the polynomial checker; return (flagged, ancestor bitsets).
+
+    The ancestor bitsets come from the fixed-point graph of the same
+    run: for each node, the nodes ordered before it (excluding itself).
+    """
+    result = VectorClockChecker(model).run(aprog)
     if not result.ok:
         return True, []
-    return False, _recompute_reach_to(aprog, model)
-
-
-def _recompute_reach_to(aprog: AnalysisProgram, model: MemoryModel) -> List[int]:
-    """Ancestor bitsets of the full (fixed-point) constraint graph.
-
-    Runs the baseline rules to fixed point and returns, for each node,
-    the bitset of nodes ordered before it (excluding itself).
-    """
-    from repro.core.checker import BaselineChecker, observed_edges
-    from repro.core.graph import ConstraintGraph
-    from repro.core.policy import static_edges
-    from repro.core.result import CheckStats, EdgeReason
-
-    checker = BaselineChecker(model)
-    graph = ConstraintGraph(aprog)
-    stats = CheckStats(nodes=aprog.n)
-    for u, v, rule in static_edges(aprog, model):
-        graph.add_edge(u, v, EdgeReason(rule))
-    for u, v, reason, _rule in observed_edges(aprog):
-        graph.add_edge(u, v, reason)
-    checker._fixed_point(aprog, graph, stats)
-
-    # Closure by DP over a topological order (graph is acyclic here).
-    from repro.core.closure import topological_order
-
+    graph = result.graph
     order = topological_order(graph)
     assert order is not None, "acyclic by hypothesis (check passed)"
-    reach_to = [0] * aprog.n
-    for node in order:
-        mask = 0
-        for parent in graph.pred[node]:
-            mask |= reach_to[parent] | (1 << parent)
-        reach_to[node] = mask
-    return reach_to
+    _, reach_to = compute_closure(graph, order)
+    return False, [mask & ~(1 << node) for node, mask in enumerate(reach_to)]
 
 
 class _Search:

@@ -17,7 +17,7 @@ failures can be explained edge by edge (Sec. 3.4).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.result import EdgeReason
 from repro.model.expansion import AnalysisProgram
@@ -235,3 +235,43 @@ class ConstraintGraph:
             nxt = cycle[(i + 1) % len(cycle)]
             out.append(self.reasons.get((node, nxt), EdgeReason("?", "edge of cycle")))
         return out
+
+
+def topological_order(graph: ConstraintGraph) -> Optional[List[int]]:
+    """Kahn's algorithm; ``None`` if the graph has a cycle."""
+    indeg = [0] * graph.n
+    for node in range(graph.n):
+        for child in graph.succ[node]:
+            indeg[child] += 1
+    frontier = [node for node in range(graph.n) if indeg[node] == 0]
+    order: List[int] = []
+    while frontier:
+        node = frontier.pop()
+        order.append(node)
+        for child in graph.succ[node]:
+            indeg[child] -= 1
+            if indeg[child] == 0:
+                frontier.append(child)
+    return order if len(order) == graph.n else None
+
+
+def compute_closure(
+    graph: ConstraintGraph, order: List[int]
+) -> Tuple[List[int], List[int]]:
+    """From-scratch transitive closure by dynamic programming over a
+    topological ``order``: ``(reach_from, reach_to)``, one int bitset
+    per node, both including the node itself."""
+    n = graph.n
+    reach_from = [0] * n
+    reach_to = [0] * n
+    for node in reversed(order):
+        mask = 1 << node
+        for child in graph.succ[node]:
+            mask |= reach_from[child]
+        reach_from[node] = mask
+    for node in order:
+        mask = 1 << node
+        for parent in graph.pred[node]:
+            mask |= reach_to[parent]
+        reach_to[node] = mask
+    return reach_from, reach_to

@@ -24,11 +24,11 @@ miss — becomes detectable the moment the true store order is supplied
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.closure import ClosureChecker
 from repro.core.policy import MemoryModel, TSO
 from repro.core.result import CheckResult, EdgeReason
+from repro.core.vc import VectorClockChecker
 from repro.model.expansion import AnalysisProgram, expand
 from repro.model.trace import Execution
 
@@ -70,10 +70,10 @@ def store_order_edges(
     return edges
 
 
-class ObservabilityChecker(ClosureChecker):
-    """ClosureChecker seeded with environment-observed store order."""
+class ObservabilityChecker(VectorClockChecker):
+    """VectorClockChecker seeded with environment-observed store order."""
 
-    name = "closure+observability"
+    name = "vc+observability"
 
     def __init__(
         self,
@@ -83,10 +83,8 @@ class ObservabilityChecker(ClosureChecker):
         super().__init__(model)
         self.commit_order = list(commit_order)
 
-    def _initial_edges(self, aprog):
-        yield from super()._initial_edges(aprog)
-        for u, v, reason in store_order_edges(aprog, self.commit_order):
-            yield u, v, reason, "observed"
+    def _extra_edges(self, aprog):
+        return store_order_edges(aprog, self.commit_order)
 
 
 def check_with_store_order(

@@ -3,7 +3,7 @@
 Every engine needs the same derived views of an
 :class:`~repro.model.expansion.AnalysisProgram` before its fixed point
 starts: the loads with their observed-store targets resolved (and the
-atomic-group endpoints the closure pruning must respect), the stores
+atomic-group endpoints candidate pruning must respect), the stores
 with their observer loads, and the per-node ``group_first`` table.
 Historically each engine rebuilt these independently — the baseline
 even re-resolved ``map_value`` every fixed-point pass.  This module is

@@ -205,8 +205,9 @@ class CheckStats:
 
     Every engine fills the shared fields; ``traversals``/
     ``traversal_visits`` are traversal-engine specific,
-    ``closure_rebuilds`` closure/vc-engine specific, and
-    ``vc_queries``/``reorder_visits`` vc-engine specific.  The per-run
+    ``closure_rebuilds`` vc-engine specific, and
+    ``vc_queries``/``reorder_visits`` frontier-engine (vc and stream)
+    specific.  The per-run
     stats also feed :func:`repro.telemetry.record_check`, which folds
     them into the process-wide ``check.*`` counters.
     """
@@ -223,10 +224,9 @@ class CheckStats:
     #: during the traversal of predecessor/successor subgraphs").
     traversals: int = 0
     traversal_visits: int = 0
-    #: Closure/vc engines only: how many times the transitive
-    #: closure was recomputed from scratch.  The per-pass engines pay
-    #: one rebuild per fixed-point iteration; the incremental vc engine
-    #: builds it exactly once and propagates deltas afterwards.
+    #: Vc engine only: how many times the transitive closure (its
+    #: frontier tables) was built from scratch — exactly once, after
+    #: which insertions propagate deltas.
     closure_rebuilds: int = 0
     #: Vc engine only: frontier-vector lookups — one per chain probed
     #: by R6/R7 candidate discovery, plus one per O(1) R7 observer
@@ -280,8 +280,8 @@ class CheckResult:
             but incomplete (Sec. 4): ``ok=False`` proves a violation;
             ``ok=True`` does not prove compliance.
         model_name: the memory model the execution was checked against.
-        engine: the checker engine used (``baseline``, ``closure``,
-            ``vc`` or ``stream``).
+        engine: the checker engine used (``baseline``, ``vc`` or
+            ``stream``).
         violation: the witness, when ``ok`` is False.
         stats: analysis-size and runtime bookkeeping.
         aprog: the analysis program, retained for rendering.

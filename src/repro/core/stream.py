@@ -460,7 +460,7 @@ class StreamingChecker:
         """Args:
             model: memory-model ordering policy.
             inferred_rules: apply the R6/R7 fixed point (the DESIGN.md
-                rule ablation, as on the closure and vc engines).
+                rule ablation, as on the vc engine).
             window: frontier-retirement window in admitted analysis ops;
                 live checker state is O(window), verdicts are windowed
                 (see the module docstring).

@@ -18,7 +18,8 @@ two orders of magnitude below the node count at the paper's operating
 point.  Because every chain is a path in the constraint graph, "chain
 ``c``'s members that reach ``v``" is always a *prefix* of ``c``; the
 frontier entry stores just the prefix length.  This buys the things
-the per-pass engines pay for repeatedly:
+a per-pass engine (one that rebuilds reachability every fixed-point
+pass, as the baseline's traversals do) pays for repeatedly:
 
 * **R6/R7 candidate discovery is O(k).**  "Same-address store
   predecessors of L not already ordered before the observed store" is,
@@ -86,7 +87,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.core.checker import (
@@ -96,8 +97,7 @@ from repro.core.checker import (
     r6_reason,
     r7_reason,
 )
-from repro.core.closure import topological_order
-from repro.core.graph import ConstraintGraph, CycleDetected
+from repro.core.graph import ConstraintGraph, CycleDetected, topological_order
 from repro.core.kernels import build_frontiers_scalar
 from repro.core.policy import MemoryModel, TSO, static_edges
 from repro.core.prep import Chains, EnginePrep, prepare
@@ -354,9 +354,10 @@ class VectorClockChecker(FrontierCore):
     ) -> None:
         """Args:
             model: memory-model ordering policy.
-            inferred_rules: apply the R6/R7 fixed point (disabling them
-                is the DESIGN.md rule ablation, as on the closure
-                engine).
+            inferred_rules: apply the R6/R7 fixed point.  Disabling them
+                (the DESIGN.md rule ablation) leaves only static + observed
+                edges — faster, but blind to most cross-processor
+                violations; measured in ``benchmarks/test_ablation_rules.py``.
         """
         self.model = model
         self.inferred_rules = inferred_rules
@@ -408,6 +409,9 @@ class VectorClockChecker(FrontierCore):
             for u, v, reason, _rule in observed_edges(aprog):
                 if graph.add_edge(u, v, reason):
                     stats.observed_edges += 1
+            for u, v, reason in self._extra_edges(aprog):
+                if graph.add_edge(u, v, reason):
+                    stats.observed_edges += 1
         except CycleDetected as exc:
             return cycle_violation(aprog, graph, exc)
 
@@ -426,6 +430,15 @@ class VectorClockChecker(FrontierCore):
         except CycleDetected as exc:
             return cycle_violation(aprog, graph, exc)
 
+    def _extra_edges(
+        self, aprog: AnalysisProgram
+    ) -> Iterable[Tuple[int, int, EdgeReason]]:
+        """Environment-supplied ordering facts, as ``(u, v, reason)``
+        edges added after the observed edges and counted with them
+        (none here; :mod:`repro.core.observability` adds the observed
+        store order of Sec. 3.2)."""
+        return ()
+
     def _init_state(self, graph: ConstraintGraph, order: List[int]) -> None:
         """Build frontiers and the topological order in one DP pass.
 
@@ -434,7 +447,7 @@ class VectorClockChecker(FrontierCore):
         ``vec_from[v][to_col[c]]`` the lowest position in chain ``c``
         reachable from ``v`` (``_inf``: none), both kept only for the
         chains holding a non-root store.  Both include ``v`` itself,
-        mirroring the closure engine's reach bitsets.
+        as :func:`repro.core.graph.compute_closure`'s reach bitsets do.
         ``_moved_to``/``_moved_from`` stamp each row with the ``_seq``
         of the last insertion that improved it.
         """

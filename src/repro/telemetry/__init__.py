@@ -12,7 +12,7 @@ Typical library use::
     from repro.telemetry import MemorySink
 
     tel = telemetry.configure(sinks=[MemorySink()])
-    with telemetry.span("check", engine="closure"):
+    with telemetry.span("check", engine="vc"):
         ...
     print(tel.summary())
     telemetry.reset()

@@ -48,7 +48,7 @@ class TestMeasureRuntime:
         class _AlwaysFail:
             def run(self, aprog):
                 calls.append(1)
-                result = real(runtime_mod.TSO, "closure").run(aprog)
+                result = real(runtime_mod.TSO, "vc").run(aprog)
                 result.ok = False
                 if result.violation is None:
                     from repro.core.result import Violation, ViolationKind

@@ -17,7 +17,7 @@ from tests.util import golden_run
 
 class TestMakeChecker:
     def test_engines_registered(self):
-        assert set(ENGINES) == {"baseline", "closure", "stream", "vc"}
+        assert set(ENGINES) == {"baseline", "stream", "vc"}
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -81,12 +81,12 @@ class TestResultObjects:
         assert d["closure_rebuilds"] == 3
         assert d["seconds"] == 0.5
 
-    def test_closure_rebuilds_counted_by_closure_engines(self):
+    def test_closure_rebuilds_counted_by_vc_only(self):
         program, execution, _machine = golden_run(seed=11)
-        result = check(program, execution, engine="closure")
-        assert result.stats.closure_rebuilds >= 1
         baseline = check(program, execution, engine="baseline")
         assert baseline.stats.closure_rebuilds == 0
+        stream = check(program, execution, engine="stream")
+        assert stream.stats.closure_rebuilds == 0
         # The incremental engine builds its closure exactly once.
         vc = check(program, execution, engine="vc")
         assert vc.stats.closure_rebuilds == 1
@@ -101,7 +101,7 @@ class TestResultObjects:
         assert EdgeReason("R5", "why").render() == "R5: why"
 
     def test_to_dot_requires_aprog(self):
-        result = CheckResult(ok=False, model_name="TSO", engine="closure")
+        result = CheckResult(ok=False, model_name="TSO", engine="vc")
         with pytest.raises(ValueError):
             result.to_dot()
 

@@ -119,7 +119,7 @@ class TestTriangle:
     def test_shuffles_that_verify_imply_polynomial_pass(self, seed):
         # Any random order the verifier accepts is a genuine witness, so
         # the (sound) polynomial checker must accept the outcome too.
-        from repro.core.closure import ClosureChecker
+        from repro.core.vc import VectorClockChecker
 
         config = GeneratorConfig(
             nprocs=2, ops_per_proc=4, shared_words=2, mix=PLAIN_MIX
@@ -131,7 +131,7 @@ class TestTriangle:
         order = list(range(aprog.n))
         rng.shuffle(order)
         if verify_witness(aprog, order) == []:
-            assert ClosureChecker().run(aprog).ok
+            assert VectorClockChecker().run(aprog).ok
 
     def test_sc_witness_stricter_than_tso(self):
         # An order valid under TSO thanks to the buffer term fails SC.

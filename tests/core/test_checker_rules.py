@@ -8,11 +8,11 @@ import pytest
 
 from repro.core.api import check_litmus
 from repro.core.checker import BaselineChecker, observed_edges, po_prev_stores
-from repro.core.closure import ClosureChecker
 from repro.core.result import ViolationKind
+from repro.core.vc import VectorClockChecker
 from tests.util import litmus_aprog
 
-ENGINES = [BaselineChecker, ClosureChecker]
+ENGINES = [BaselineChecker, VectorClockChecker]
 
 
 def _rules_of(text):
@@ -104,8 +104,8 @@ class TestR6:
         """
         result = engine().run(litmus_aprog(text))
         assert not result.ok
-        if isinstance(engine(), ClosureChecker):
-            # The closure engine's witness is the first closing edge —
+        if isinstance(engine(), VectorClockChecker):
+            # The vc engine's witness is the first closing edge —
             # an R6 inference; the baseline may surface another cycle.
             cycle_rules = {r.rule for r in result.violation.reasons}
             assert "R6" in cycle_rules
@@ -172,7 +172,7 @@ class TestFixedPoint:
             P2: L[A]=1 ; L[B]=0
             P3: L[B]=1 ; L[A]=0
         """
-        full = ClosureChecker().run(litmus_aprog(text))
-        ablated = ClosureChecker(inferred_rules=False).run(litmus_aprog(text))
+        full = VectorClockChecker().run(litmus_aprog(text))
+        ablated = VectorClockChecker(inferred_rules=False).run(litmus_aprog(text))
         assert not full.ok
         assert ablated.ok  # blind without the inferred edges

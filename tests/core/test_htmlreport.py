@@ -61,6 +61,6 @@ class TestRenderHtml:
         assert "&lt;bad &amp; title&gt;" in page
 
     def test_requires_analysis_program(self):
-        bare = CheckResult(ok=True, model_name="TSO", engine="closure")
+        bare = CheckResult(ok=True, model_name="TSO", engine="vc")
         with pytest.raises(ValueError):
             render_html(bare)

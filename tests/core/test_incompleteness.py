@@ -7,30 +7,37 @@ enforces the Order axiom.  These tests pin down both halves:
   ``S[A]#1`` / ``S[A]#2`` unordered;
 * the mirrored extension is a genuine violation (the complete procedure
   proves it) that the polynomial checker accepts — the documented miss.
+
+A last class holds the complete procedure's pruning constraints, taken
+from the vc engine's graph, to the baseline rules' fixed point.
 """
 
 import pytest
 
 from repro.core.checker import BaselineChecker, observed_edges
-from repro.core.closure import ClosureChecker, compute_closure, topological_order
-from repro.core.complete import complete_check
-from repro.core.graph import ConstraintGraph
-from repro.core.policy import TSO, static_edges
+from repro.core.complete import _closure_constraints, complete_check
+from repro.core.graph import ConstraintGraph, compute_closure, topological_order
+from repro.core.policy import PSO, SC, TSO, static_edges
 from repro.core.result import EdgeReason
-from repro.generator.litmus import litmus_by_name
-from tests.util import describe_map, litmus_aprog
+from repro.core.vc import VectorClockChecker
+from repro.generator.config import GeneratorConfig
+from repro.generator.generator import generate_program
+from repro.generator.litmus import LITMUS_LIBRARY, litmus_by_name
+from repro.model.expansion import expand
+from repro.sim.machine import TsoMachine
+from tests.util import PLAIN_MIX, describe_map, litmus_aprog
 
 BASE = litmus_by_name("fig5_base").text
 MIRRORED = litmus_by_name("fig5_mirrored").text
 
 
-def _fixed_point_graph(aprog):
+def _fixed_point_graph(aprog, model=TSO):
     """Run the baseline rules to fixed point, returning the graph."""
     from repro.core.result import CheckStats
 
-    checker = BaselineChecker(TSO)
+    checker = BaselineChecker(model)
     graph = ConstraintGraph(aprog)
-    for u, v, rule in static_edges(aprog, TSO):
+    for u, v, rule in static_edges(aprog, model):
         graph.add_edge(u, v, EdgeReason(rule))
     for u, v, reason, _rule in observed_edges(aprog):
         graph.add_edge(u, v, reason)
@@ -40,7 +47,7 @@ def _fixed_point_graph(aprog):
 
 class TestFig5Base:
     def test_polynomial_checkers_accept(self):
-        for engine in (BaselineChecker, ClosureChecker):
+        for engine in (BaselineChecker, VectorClockChecker):
             assert engine().run(litmus_aprog(BASE)).ok
 
     def test_complete_procedure_accepts(self):
@@ -86,7 +93,7 @@ class TestFig5Base:
 
 class TestFig5Mirrored:
     def test_polynomial_checkers_miss_the_violation(self):
-        for engine in (BaselineChecker, ClosureChecker):
+        for engine in (BaselineChecker, VectorClockChecker):
             assert engine().run(litmus_aprog(MIRRORED)).ok
 
     def test_complete_procedure_rejects(self):
@@ -98,10 +105,10 @@ class TestFig5Mirrored:
         # observer thread, the polynomial checker finds the cycle: the
         # only missing ingredient was the store total order.
         pinned = MIRRORED + "\nP4: L[A]=1 ; L[A]=2\n"
-        result = ClosureChecker().run(litmus_aprog(pinned))
+        result = VectorClockChecker().run(litmus_aprog(pinned))
         assert not result.ok
         pinned_rev = MIRRORED + "\nP4: L[A]=2 ; L[A]=1\n"
-        result_rev = ClosureChecker().run(litmus_aprog(pinned_rev))
+        result_rev = VectorClockChecker().run(litmus_aprog(pinned_rev))
         assert not result_rev.ok
 
 
@@ -144,3 +151,36 @@ class TestCompleteProcedure:
         aprog = litmus_aprog("P0: L[A]=77")  # value never written
         result = complete_check(aprog)
         assert result.decided and result.valid is False
+
+
+def _tiny_runs():
+    """A few tiny golden runs (3 procs x 4 ops on 2 words)."""
+    config = GeneratorConfig(
+        nprocs=3, ops_per_proc=4, shared_words=2, mix=PLAIN_MIX
+    )
+    for seed in range(8):
+        program = generate_program(config, seed=seed)
+        execution = TsoMachine(program, seed=seed).run()
+        yield f"tiny-{seed}", expand(execution, initial=program.initial)
+
+
+class TestPruningMatchesBaselineFixedPoint:
+    """``complete_check`` prunes its search with the ancestor sets of the
+    vc engine's final graph; they must be exactly those of the baseline
+    rules' fixed point, so a dropped or extra vc edge shows here."""
+
+    @pytest.mark.parametrize("model", [TSO, PSO, SC], ids=lambda m: m.name)
+    def test_reach_to_equals_baseline_ancestors(self, model):
+        cases = [(c.name, litmus_aprog(c.text)) for c in LITMUS_LIBRARY]
+        cases += list(_tiny_runs())
+        compared = 0
+        for name, aprog in cases:
+            flagged, reach_to = _closure_constraints(aprog, model)
+            if flagged:
+                continue
+            graph = _fixed_point_graph(aprog, model)
+            _, full = compute_closure(graph, topological_order(graph))
+            expected = [mask & ~(1 << node) for node, mask in enumerate(full)]
+            assert reach_to == expected, name
+            compared += 1
+        assert compared >= 10

@@ -130,4 +130,4 @@ class TestCompletenessUpgrade:
         aprog_text = "P0: S[A]#1 ; L[A]=1"
         program, execution = parse_litmus(aprog_text)
         result = check_with_store_order(execution, [], initial=program.initial)
-        assert result.engine == "closure+observability"
+        assert result.engine == "vc+observability"

@@ -10,15 +10,15 @@ import pytest
 
 from repro.core.api import check_litmus
 from repro.core.checker import BaselineChecker
-from repro.core.closure import ClosureChecker
 from repro.core.graph import ConstraintGraph
 from repro.core.policy import TSO, static_edges
 from repro.core.checker import observed_edges
 from repro.core.result import EdgeReason, ViolationKind
+from repro.core.vc import VectorClockChecker
 from repro.generator.litmus import litmus_by_name
 from tests.util import describe_map, litmus_aprog
 
-ENGINES = [BaselineChecker, ClosureChecker]
+ENGINES = [BaselineChecker, VectorClockChecker]
 
 FIG3 = litmus_by_name("fig3").text
 FIG6 = litmus_by_name("fig6").text
@@ -34,12 +34,12 @@ class TestFig3:
 
     def test_cycle_is_between_the_two_b_stores(self):
         # The paper: "A cycle ... formed by edges E9 and E10 indicating a
-        # conflicting order between S[B]#91 and S[B]#92".  The closure
+        # conflicting order between S[B]#91 and S[B]#92".  The vc
         # engine stops at the first edge that closes a cycle, which is
         # exactly the paper's E9/E10 pair; the baseline engine may report
-        # any of the equivalent cycles, so only the closure witness is
+        # any of the equivalent cycles, so only the vc witness is
         # pinned down here.
-        result = ClosureChecker().run(litmus_aprog(FIG3))
+        result = VectorClockChecker().run(litmus_aprog(FIG3))
         names = {result.aprog.describe(n) for n in result.violation.cycle}
         assert "P0.0 S[B]#91" in names
         assert "P2.0 S[B]#92" in names
@@ -64,7 +64,7 @@ class TestFig3:
         assert (s_a1, s_a2) in edges
 
     def test_inferred_cycle_edges_use_r6(self):
-        result = ClosureChecker().run(litmus_aprog(FIG3))
+        result = VectorClockChecker().run(litmus_aprog(FIG3))
         rules = [r.rule for r in result.violation.reasons]
         assert all(rule == "R6" for rule in rules)
 
@@ -121,7 +121,7 @@ class TestFig7:
         assert engine().run(litmus_aprog(text)).ok
 
     def test_cycle_involves_both_cas_groups(self):
-        result = ClosureChecker().run(litmus_aprog(FIG7))
+        result = VectorClockChecker().run(litmus_aprog(FIG7))
         descs = {result.aprog.describe(n) for n in result.violation.cycle}
         procs = {d.split(".")[0] for d in descs}
         assert procs == {"P0", "P1"}

@@ -24,7 +24,7 @@ import functools
 import pytest
 
 from repro.core.api import check
-from repro.core.closure import compute_closure, topological_order
+from repro.core.graph import compute_closure, topological_order
 from repro.core.policy import PSO, SC, TSO, MemoryModel
 from repro.core.result import ViolationKind
 from repro.core.stream import DEFAULT_WINDOW, StreamingChecker, stream_check_machine

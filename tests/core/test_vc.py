@@ -24,8 +24,12 @@ order, the same iterations and the same witnesses.
 
 import pytest
 
-from repro.core.closure import compute_closure, topological_order
-from repro.core.graph import ConstraintGraph, CycleDetected
+from repro.core.graph import (
+    ConstraintGraph,
+    CycleDetected,
+    compute_closure,
+    topological_order,
+)
 from repro.core.policy import PSO, SC, TSO, MemoryModel, static_edges
 from repro.core.prep import Chains, prepare
 from repro.core.result import CheckStats, EdgeReason

@@ -113,31 +113,33 @@ class TestServiceStatusPayload:
         """A spooled manifest that no longer validates (here: a retired
         engine name) finishes with exit 2 and its error; the valid job
         queued behind it still runs, and status lists both."""
-        service = CampaignService(
-            ServiceConfig(root=str(tmp_path), http_port=None, once=True)
-        )
-        good = CampaignManifest(
-            name="good", seeds=(1,), cpus=("CPU1",), tests_per_bug=4
-        )
-        doc = dict(good.to_dict(), name="bad", engine="matrix")
-        bad_path = tmp_path / "spool" / "bad-job.manifest.json"
-        bad_path.write_text(json.dumps(doc) + "\n")
-        good_id = service.submit(good)
-        # The bad job is the oldest, so it is drained first.
-        os.utime(bad_path, (1, 1))
+        for engine in ("matrix", "closure"):
+            root = tmp_path / engine
+            service = CampaignService(
+                ServiceConfig(root=str(root), http_port=None, once=True)
+            )
+            good = CampaignManifest(
+                name="good", seeds=(1,), cpus=("CPU1",), tests_per_bug=4
+            )
+            doc = dict(good.to_dict(), name="bad", engine=engine)
+            bad_path = root / "spool" / "bad-job.manifest.json"
+            bad_path.write_text(json.dumps(doc) + "\n")
+            good_id = service.submit(good)
+            # The bad job is the oldest, so it is drained first.
+            os.utime(bad_path, (1, 1))
 
-        queued = {job["id"]: job for job in service.status()["jobs"]}
-        assert set(queued) == {"bad-job", good_id}
-        assert "matrix" in queued["bad-job"]["error"]
+            queued = {job["id"]: job for job in service.status()["jobs"]}
+            assert set(queued) == {"bad-job", good_id}
+            assert engine in queued["bad-job"]["error"]
 
-        assert service.serve() == 2
-        jobs = {job["id"]: job for job in service.status()["jobs"]}
-        assert jobs[good_id]["state"] == "done"
-        assert jobs[good_id]["exit_code"] == 0
-        assert jobs[good_id]["hunts"]["recorded"] == 3
-        assert jobs["bad-job"]["state"] == "done"
-        assert jobs["bad-job"]["exit_code"] == 2
-        with open(service.result_path("bad-job")) as fh:
-            result = json.load(fh)
-        assert result["exit_code"] == 2
-        assert "matrix" in result["error"]
+            assert service.serve() == 2
+            jobs = {job["id"]: job for job in service.status()["jobs"]}
+            assert jobs[good_id]["state"] == "done"
+            assert jobs[good_id]["exit_code"] == 0
+            assert jobs[good_id]["hunts"]["recorded"] == 3
+            assert jobs["bad-job"]["state"] == "done"
+            assert jobs["bad-job"]["exit_code"] == 2
+            with open(service.result_path("bad-job")) as fh:
+                result = json.load(fh)
+            assert result["exit_code"] == 2
+            assert engine in result["error"]

@@ -16,6 +16,7 @@ from repro.model.ops import IFlushCache, ILoad, IMembar, IPrefetch, IStore
 from repro.model.program import Program, Thread
 from repro.sim.cache import CpuCache
 from repro.sim.machine import MachineConfig, TsoMachine
+from tests.util import count_hw_prefetches
 
 WB = MachineConfig(writeback=True)
 WB_TINY = MachineConfig(writeback=True, cache_lines=1)
@@ -153,7 +154,7 @@ class TestRegressions:
             assert machine.caches[1].lookup(0) in (0, stored)
 
     @pytest.mark.parametrize("seed", [15, 25])
-    def test_original_failing_seeds_now_pass(self, seed):
+    def test_original_failing_seeds_now_pass(self, seed, monkeypatch):
         # The exact configurations that exposed both bugs.
         cfg_a = GeneratorConfig(nprocs=4, ops_per_proc=60, shared_words=16,
                                 stride_words=16)
@@ -163,29 +164,38 @@ class TestRegressions:
             config=MachineConfig(writeback=True, cache_lines=2),
         )
         assert check(program, machine.run()).ok
-        cfg_b = GeneratorConfig(nprocs=4, ops_per_proc=60, shared_words=8)
+        # Words on separate lines, so the prefetcher's sequential-line
+        # trigger can fire (with all 8 words on one line it never does).
+        cfg_b = GeneratorConfig(nprocs=4, ops_per_proc=60, shared_words=8,
+                                stride_words=8)
         program = generate_program(cfg_b, seed=seed)
         machine = TsoMachine(
             program, seed=seed,
             config=MachineConfig(writeback=True, cache_lines=1,
                                  hw_prefetch=True),
         )
+        prefetches = count_hw_prefetches(monkeypatch)
         assert check(program, machine.run()).ok
+        assert prefetches
 
 
 class TestGoldenSoundness:
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_writeback_runs_pass(self, seed):
-        config = GeneratorConfig(nprocs=4, ops_per_proc=60, shared_words=8)
+    def test_random_writeback_runs_pass(self, seed, monkeypatch):
+        # Words on separate lines, so the prefetcher fires.
+        config = GeneratorConfig(nprocs=4, ops_per_proc=60, shared_words=8,
+                                 stride_words=8)
         program = generate_program(config, seed=seed)
         machine = TsoMachine(
             program, seed=seed,
             config=MachineConfig(writeback=True, cache_lines=2,
                                  hw_prefetch=True, enable_monitor=True),
         )
+        prefetches = count_hw_prefetches(monkeypatch)
         execution = machine.run()
         assert check(program, execution).ok
         assert machine.monitor_alarms == []
+        assert prefetches
 
     def test_cache_faults_still_detectable_in_writeback_mode(self):
         from repro.sim.faults import DroppedInvalidateFault

@@ -63,13 +63,13 @@ class TestTelemetryRegistry:
     def test_span_times_and_streams(self):
         sink = MemorySink()
         tel = Telemetry(enabled=True, sinks=[sink])
-        with tel.span("check", engine="closure") as handle:
+        with tel.span("check", engine="vc") as handle:
             pass
         assert handle.seconds >= 0
         assert tel.snapshot()["timers"]["check"]["count"] == 1
         [payload] = sink.of_kind("span")
         assert payload["name"] == "check"
-        assert payload["fields"] == {"engine": "closure"}
+        assert payload["fields"] == {"engine": "vc"}
         assert payload["v"] == 1
         assert payload["pid"] == os.getpid()
 
@@ -174,16 +174,16 @@ class TestRecordCheck:
             nodes=10, static_edges=5, observed_edges=3, inferred_edges=2,
             iterations=2, seconds=0.5, closure_rebuilds=2,
         )
-        telemetry.record_check(stats, "closure")
+        telemetry.record_check(stats, "vc")
         snap = telemetry.get_telemetry().snapshot()
         assert snap["counters"]["check.runs"] == 1
-        assert snap["counters"]["check.engine.closure"] == 1
+        assert snap["counters"]["check.engine.vc"] == 1
         assert snap["counters"]["check.edges.static"] == 5
         assert snap["counters"]["check.closure_rebuilds"] == 2
         assert snap["histograms"]["check.seconds"]["count"] == 1
 
     def test_noop_when_disabled(self):
-        telemetry.record_check(CheckStats(nodes=1), "closure")
+        telemetry.record_check(CheckStats(nodes=1), "vc")
         assert telemetry.get_telemetry().snapshot()["counters"] == {}
 
 

@@ -10,7 +10,7 @@ from repro.telemetry.schema import main, validate_lines
 
 def _span(**over):
     obj = {"v": SCHEMA_VERSION, "kind": "span", "name": "check",
-           "ts": 1.0, "pid": 7, "seconds": 0.5, "fields": {"engine": "closure"}}
+           "ts": 1.0, "pid": 7, "seconds": 0.5, "fields": {"engine": "vc"}}
     obj.update(over)
     return obj
 

@@ -59,6 +59,13 @@ class TestRunAndCheck:
         capsys.readouterr()
         assert main(["check", str(trace), "--engine", "baseline"]) == 0
 
+    def test_check_rejects_retired_closure_engine(self, tmp_path, capsys):
+        trace = tmp_path / "run.trace"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", str(trace), "--engine", "closure"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'closure'" in capsys.readouterr().err
+
 
 class TestLitmus:
     def test_list(self, capsys):

@@ -5,10 +5,9 @@ The three load-bearing properties of the whole system:
 1. **End-to-end soundness** — the checker never flags an execution the
    golden TSO machine produced ("we presume the machine innocent,
    unless proved guilty": no false positives, Sec. 1).
-2. **Engine agreement** — all four checker engines (the literal
-   Fig. 2 baseline, the bitset closure, the incremental vector-clock
-   engine and the streaming engine at its default no-retirement
-   window) return the same verdict — and, on failures, the same
+2. **Engine agreement** — all three checker engines (the literal
+   Fig. 2 baseline, the incremental vector-clock engine and the
+   streaming engine at its default no-retirement window) return the same verdict — and, on failures, the same
    violation kind — on everything, including adversarially corrupted
    and fault-injected runs.  Every cycle witness must additionally be
    *valid*: a closed walk of explicit, reasoned edges in the engine's
@@ -26,9 +25,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.api import ENGINES, check, check_execution
 from repro.core.checker import BaselineChecker
-from repro.core.closure import ClosureChecker
 from repro.core.complete import complete_check
 from repro.core.policy import PSO, SC, TSO
+from repro.core.vc import VectorClockChecker
 from repro.generator.config import GeneratorConfig, InstructionMix
 from repro.generator.generator import generate_program
 from repro.model.expansion import expand
@@ -241,7 +240,7 @@ def test_polynomial_checker_sound_wrt_complete(config, seed):
     program = generate_program(config, seed=seed)
     trace = _corrupt(TsoMachine(program, seed=seed).run(), seed)
     aprog = expand(trace, initial=program.initial, word_names=program.word_names)
-    poly = ClosureChecker().run(aprog)
+    poly = VectorClockChecker().run(aprog)
     truth = complete_check(aprog, max_states=200_000)
     if not truth.decided:
         return  # budget blown: nothing to compare

@@ -14,6 +14,7 @@ from repro.core.policy import PSO, SC, TSO
 from repro.generator.config import GeneratorConfig, InstructionMix
 from repro.generator.generator import generate_program
 from repro.sim.machine import MachineConfig, TsoMachine
+from tests.util import count_hw_prefetches
 
 EXOTIC_MIXES = {
     "block-heavy": InstructionMix(
@@ -49,15 +50,23 @@ EXOTIC_MACHINES = {
 
 @pytest.mark.parametrize("mix_name", sorted(EXOTIC_MIXES))
 @pytest.mark.parametrize("machine_name", sorted(EXOTIC_MACHINES))
-def test_exotic_configurations_stay_sound(mix_name, machine_name):
+def test_exotic_configurations_stay_sound(mix_name, machine_name, monkeypatch):
     machine_config = EXOTIC_MACHINES[machine_name]
     model = PSO if machine_config.pso_mode else TSO
+    prefetches = count_hw_prefetches(monkeypatch)
     for seed in range(3):
+        if machine_config.hw_prefetch:
+            # Eight words at stride 8 span four cache lines.  At strides
+            # 1 and 4 they fit in one or two lines, so a sequential-line
+            # load never finds a next line holding a word to prefetch.
+            stride = 8
+        else:
+            stride = 4 if seed % 2 else 1
         config = GeneratorConfig(
             nprocs=4,
             ops_per_proc=50,
             shared_words=8,
-            stride_words=4 if seed % 2 else 1,
+            stride_words=stride,
             mix=EXOTIC_MIXES[mix_name],
             loop_prob=0.1 if mix_name == "branchy-loops" else 0.0,
         )
@@ -70,6 +79,8 @@ def test_exotic_configurations_stay_sound(mix_name, machine_name):
         )
         if machine_config.enable_monitor:
             assert machine.monitor_alarms == []
+    if machine_config.hw_prefetch:
+        assert prefetches
 
 
 def test_many_processors_few_words():

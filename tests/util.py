@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.api import check
 from repro.core.policy import MemoryModel, TSO
@@ -46,3 +46,30 @@ def litmus_aprog(text: str) -> AnalysisProgram:
 def describe_map(aprog: AnalysisProgram) -> Dict[str, int]:
     """Map human descriptions to node ids, for edge-level assertions."""
     return {aprog.describe(op.id): op.id for op in aprog.ops}
+
+
+def count_hw_prefetches(monkeypatch) -> List[int]:
+    """Record every line fill the hardware prefetcher makes.
+
+    Wraps :meth:`TsoMachine._maybe_hw_prefetch` for the test; returns
+    the list that collects the prefetched word addresses, so a test
+    whose layout is meant to exercise the prefetcher can assert it did.
+    """
+    fills: List[int] = []
+    real_prefetch = TsoMachine._maybe_hw_prefetch
+
+    def prefetch(machine, cpu, addr):
+        real_install = machine._install_clean
+
+        def install(pid, word, value):
+            fills.append(word)
+            real_install(pid, word, value)
+
+        machine._install_clean = install
+        try:
+            real_prefetch(machine, cpu, addr)
+        finally:
+            del machine._install_clean
+
+    monkeypatch.setattr(TsoMachine, "_maybe_hw_prefetch", prefetch)
+    return fills
