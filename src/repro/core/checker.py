@@ -86,49 +86,58 @@ def observed_edges(
         yield from load_edges(aprog, op.id, store, prev_store.get(op.id))
 
 
+def _r4_text(aprog: AnalysisProgram, load: int, store: int) -> str:
+    return (
+        f"{aprog.describe(load)} observed the value of "
+        f"{aprog.describe(store)}, which is not an earlier store of "
+        "the same processor, so the store must be globally visible "
+        "before the load binds (Value axiom)"
+    )
+
+
+def _r5_text(
+    aprog: AnalysisProgram, load: int, store: int, s_prime: int
+) -> str:
+    return (
+        f"{aprog.describe(load)} observed {aprog.describe(store)} "
+        f"despite the program-order-earlier {aprog.describe(s_prime)}; "
+        "by the Value axiom that earlier store must be globally "
+        "ordered before the observed one"
+    )
+
+
 def load_edges(
     aprog: AnalysisProgram, load: int, store: int, s_prime: Optional[int]
 ) -> List[ObservedEdge]:
     """The R4/R5 edges of one load that observed ``store``, where
-    ``s_prime`` is its last program-order-earlier same-address store."""
+    ``s_prime`` is its last program-order-earlier same-address store.
+    Their reasons are deferred (:meth:`EdgeReason.deferred`)."""
     op = aprog.ops[load]
     s_op = aprog.ops[store]
     out: List[ObservedEdge] = []
     if not (s_op.proc == op.proc and not s_op.is_root and s_op.po < op.po):
-        out.append((store, load, EdgeReason(
-            "R4",
-            f"{aprog.describe(load)} observed the value of "
-            f"{aprog.describe(store)}, which is not an earlier store of "
-            "the same processor, so the store must be globally visible "
-            "before the load binds (Value axiom)",
+        out.append((store, load, EdgeReason.deferred(
+            "R4", _r4_text, aprog, load, store
         ), "R4"))
     if s_prime is not None and s_prime != store:
-        out.append((s_prime, store, EdgeReason(
-            "R5",
-            f"{aprog.describe(load)} observed {aprog.describe(store)} "
-            f"despite the program-order-earlier {aprog.describe(s_prime)}; "
-            "by the Value axiom that earlier store must be globally "
-            "ordered before the observed one",
+        out.append((s_prime, store, EdgeReason.deferred(
+            "R5", _r5_text, aprog, load, store, s_prime
         ), "R5"))
     return out
 
 
+_R6_TEXT = "store n{} precedes load n{}, which observed store n{} (Value axiom)"
+_R7_TEXT = "load n{} observed store n{}, which precedes store n{} (Value axiom)"
+
+
 def r6_reason(s_prime: int, load: int, target: int) -> EdgeReason:
     """Why R6 orders ``s_prime`` before ``target`` (vc/stream)."""
-    return EdgeReason(
-        "R6",
-        f"store n{s_prime} precedes load n{load}, which "
-        f"observed store n{target} (Value axiom)",
-    )
+    return EdgeReason.deferred("R6", _R6_TEXT.format, s_prime, load, target)
 
 
 def r7_reason(load: int, store: int, s_prime: int) -> EdgeReason:
     """Why R7 orders ``load`` before ``s_prime`` (vc/stream)."""
-    return EdgeReason(
-        "R7",
-        f"load n{load} observed store n{store}, which "
-        f"precedes store n{s_prime} (Value axiom)",
-    )
+    return EdgeReason.deferred("R7", _R7_TEXT.format, load, store, s_prime)
 
 
 def cycle_violation(

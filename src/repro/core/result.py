@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.model.expansion import AnalysisProgram
 
 
-@dataclass(frozen=True)
 class EdgeReason:
     """Why an edge exists in the analysis graph.
 
@@ -28,14 +27,63 @@ class EdgeReason:
             (intra-group chain), ``init`` (root-store edges).
         detail: human-readable justification, e.g. which load's value
             binding forced the edge.
+
+    The engines infer tens of thousands of edges per paper-scale check
+    but only a witness (Sec. 3.4) ever reads their text, so a reason
+    built by :meth:`deferred` formats ``detail`` the first time it is
+    read.  Equality, hashing, ``repr`` and pickling see the rendered
+    text, so a deferred reason and an eager one with the same text are
+    indistinguishable.  Instances are treated as immutable.
     """
 
-    rule: str
-    detail: str = ""
+    __slots__ = ("rule", "_detail", "_render", "_args")
+
+    def __init__(self, rule: str, detail: str = "") -> None:
+        self.rule = rule
+        self._detail = detail
+
+    @classmethod
+    def deferred(
+        cls, rule: str, render: Callable[..., str], *args: object
+    ) -> "EdgeReason":
+        """A reason whose ``detail`` is ``render(*args)``, formatted on
+        first read."""
+        reason = cls.__new__(cls)
+        reason.rule = rule
+        reason._detail = None
+        reason._render = render
+        reason._args = args
+        return reason
+
+    @property
+    def detail(self) -> str:
+        detail = self._detail
+        if detail is None:
+            detail = self._detail = self._render(*self._args)
+            self._render = self._args = None
+        return detail
 
     def render(self) -> str:
         """One-line rendering: ``R5: <detail>``."""
-        return f"{self.rule}: {self.detail}" if self.detail else self.rule
+        detail = self.detail
+        return f"{self.rule}: {detail}" if detail else self.rule
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rule, self.detail) == (other.rule, other.detail)
+
+    def __hash__(self) -> int:
+        return hash((self.rule, self.detail))
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}"
+            f"(rule={self.rule!r}, detail={self.detail!r})"
+        )
+
+    def __reduce__(self):
+        return (self.__class__, (self.rule, self.detail))
 
 
 class ViolationKind(enum.Enum):

@@ -78,7 +78,7 @@ DEFAULT_WINDOW = 4096
 #: ``n + 1``, but a stream does not know its final ``n``).
 _INF = 1 << 60
 
-#: One shared (frozen) reason per static rule.
+#: One shared reason per static rule.
 _STATIC_REASONS = {
     rule: EdgeReason(rule, "program order")
     for rule in ("R1", "R2", "R3", "atomic", "init")

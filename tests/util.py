@@ -37,6 +37,19 @@ def golden_run(
     return program, execution, machine
 
 
+def paper_scale_run(seed: int) -> Tuple[Program, Execution]:
+    """One fault-free run at the paper's operating point: 16 processors
+    x 400 instructions on 16 words, in the runtime measurements' mix."""
+    from repro.analysis.runtime import _MEASURE_MIX
+
+    config = GeneratorConfig(
+        nprocs=16, ops_per_proc=400, shared_words=16,
+        mix=_MEASURE_MIX, loop_prob=0.0,
+    )
+    program = generate_program(config, seed=seed)
+    return program, TsoMachine(program, seed=seed).run()
+
+
 def litmus_aprog(text: str) -> AnalysisProgram:
     """Parse litmus text and expand it to an analysis program."""
     program, execution = parse_litmus(text)
