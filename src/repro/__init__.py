@@ -7,7 +7,7 @@ with a polynomial-time, sound-but-incomplete constraint-graph algorithm.
 
 This package provides, end to end:
 
-* the analysis algorithm (rules R1–R7, Fig. 2) in four agreeing
+* the analysis algorithm (rules R1–R7, Fig. 2) in three agreeing
   engines — from the literal
   :class:`~repro.core.checker.BaselineChecker` to the incremental
   :class:`~repro.core.vc.VectorClockChecker` default (see
@@ -32,37 +32,28 @@ Quickstart::
     assert result.ok
 """
 
-from repro.core import (
-    PSO,
-    SC,
-    TSO,
-    BaselineChecker,
-    CheckResult,
-    CompleteResult,
-    EdgeReason,
-    MemoryModel,
-    Violation,
-    ViolationKind,
-    check,
-    check_execution,
-    check_litmus,
-    complete_check,
-)
-from repro.generator import GeneratorConfig, generate_program, LITMUS_LIBRARY
-from repro.model import (
-    Execution,
-    Program,
-    Thread,
-    expand,
-    parse_litmus,
-)
-from repro.sim import MachineConfig, TsoMachine
-from repro.sim.faults import Fault, FaultReport
-from repro.sim.cpus import CPU_CONFIGS
-from repro.analysis.coverage import CoverageReport, measure_coverage
-from repro.analysis.minimize import minimize_failure, render_minimized
-from repro.emit import emit_sparc
-from repro.generator.patterns import PATTERNS
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".core.policy": "TSO SC PSO MemoryModel",
+    ".core.checker": "BaselineChecker",
+    ".core.result": "CheckResult EdgeReason Violation ViolationKind",
+    ".core.complete": "CompleteResult complete_check",
+    ".core.api": "check check_execution check_litmus",
+    ".generator.config": "GeneratorConfig",
+    ".generator.generator": "generate_program",
+    ".generator.litmus": "LITMUS_LIBRARY",
+    ".model.trace": "Execution",
+    ".model.program": "Program Thread parse_litmus",
+    ".model.expansion": "expand",
+    ".sim.machine": "MachineConfig TsoMachine",
+    ".sim.faults": "Fault FaultReport",
+    ".sim.cpus": "CPU_CONFIGS",
+    ".analysis.coverage": "CoverageReport measure_coverage",
+    ".analysis.minimize": "minimize_failure render_minimized",
+    ".emit.sparc": "emit_sparc",
+    ".generator.patterns": "PATTERNS",
+})
 
 __version__ = "1.0.0"
 

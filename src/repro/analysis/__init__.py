@@ -13,49 +13,26 @@
   campaigns and sweeps (worker processes, timeouts, retries).
 """
 
-from repro.analysis.bringup import BringupEvent, BringupLog, bringup
-from repro.analysis.campaign import (
-    BugHunt,
-    CampaignConfig,
-    CampaignResult,
-    format_table1,
-    format_table2,
-    hunt_bug,
-    run_campaign,
-)
-from repro.analysis.coverage import CoverageReport, measure_coverage
-from repro.analysis.minimize import (
-    MinimizationResult,
-    minimize_failure,
-    render_minimized,
-)
-from repro.analysis.repro_study import (
-    ReproductionPoint,
-    reproduction_study,
-    sweep_reproduction,
-)
-from repro.analysis.pool import PoolEvent, run_tasks
-from repro.analysis.report import ReportConfig, build_report
-from repro.analysis.runtime import (
-    RuntimePoint,
-    SweepResult,
-    measure_runtime,
-    sweep_runtime,
-)
-from repro.analysis.stats import (
-    LatencySummary,
-    bootstrap_detection_rate,
-    detection_latency,
-    latency_by_mechanism,
-    latency_by_unit,
-    render_campaign_stats,
-)
-from repro.analysis.tuning import (
-    TuningResult,
-    atomic_contention_objective,
-    race_pair_objective,
-    tune,
-)
+from repro._lazy import lazy_exports
+
+# Eager: importing the submodule later would rebind ``bringup`` to it.
+from repro.analysis.bringup import bringup
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".bringup": "BringupEvent BringupLog",
+    ".campaign": "BugHunt CampaignConfig CampaignResult format_table1 "
+                "format_table2 hunt_bug run_campaign",
+    ".coverage": "CoverageReport measure_coverage",
+    ".minimize": "MinimizationResult minimize_failure render_minimized",
+    ".repro_study": "ReproductionPoint reproduction_study sweep_reproduction",
+    ".pool": "PoolEvent run_tasks",
+    ".report": "ReportConfig build_report",
+    ".runtime": "RuntimePoint SweepResult measure_runtime sweep_runtime",
+    ".stats": "LatencySummary bootstrap_detection_rate detection_latency "
+             "latency_by_mechanism latency_by_unit render_campaign_stats",
+    ".tuning": "TuningResult atomic_contention_objective "
+              "race_pair_objective tune",
+})
 
 __all__ = [
     "BringupEvent",

@@ -23,13 +23,17 @@ from repro.analysis.campaign import (
     format_table2,
     run_campaign,
 )
-from repro.analysis.runtime import format_series, sweep_runtime
+from repro.analysis.runtime import _MEASURE_MIX, format_series, sweep_runtime
 from repro.core.api import check_litmus
 from repro.core.checker import BaselineChecker
 from repro.core.policy import PSO, SC, TSO
 from repro.core.vc import VectorClockChecker
+from repro.generator.config import GeneratorConfig
+from repro.generator.generator import generate_program
 from repro.generator.litmus import LITMUS_LIBRARY
+from repro.model.expansion import expand
 from repro.sched.spec import SchedSpec
+from repro.sim.machine import TsoMachine
 
 _MODELS = {"TSO": TSO, "SC": SC, "PSO": PSO}
 
@@ -160,12 +164,6 @@ def _runtime_section(config: ReportConfig) -> List[str]:
 
 
 def _ablation_section(config: ReportConfig) -> List[str]:
-    from repro.analysis.runtime import _MEASURE_MIX
-    from repro.generator.config import GeneratorConfig
-    from repro.generator.generator import generate_program
-    from repro.model.expansion import expand
-    from repro.sim.machine import TsoMachine
-
     gconfig = GeneratorConfig(
         nprocs=4, ops_per_proc=config.ablation_ops // 4, shared_words=16,
         mix=_MEASURE_MIX, loop_prob=0.0,

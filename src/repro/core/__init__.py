@@ -20,16 +20,20 @@ Public surface:
 The package is stdlib-only: no engine needs numpy.
 """
 
-from repro.core.policy import TSO, SC, PSO, MemoryModel
-from repro.core.api import check, check_execution, check_litmus
-from repro.core.result import CheckResult, Violation, ViolationKind, EdgeReason
-from repro.core.checker import BaselineChecker
-from repro.core.vc import VectorClockChecker
-from repro.core.complete import complete_check, CompleteResult
-from repro.core.axioms import verify_witness
-from repro.core.htmlreport import render_html
-from repro.core.reduction import vsc_to_vtso
-from repro.core.observability import ObservabilityChecker, check_with_store_order
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".policy": "TSO SC PSO MemoryModel",
+    ".api": "check check_execution check_litmus",
+    ".result": "CheckResult Violation ViolationKind EdgeReason",
+    ".checker": "BaselineChecker",
+    ".vc": "VectorClockChecker",
+    ".complete": "complete_check CompleteResult",
+    ".axioms": "verify_witness",
+    ".htmlreport": "render_html",
+    ".reduction": "vsc_to_vtso",
+    ".observability": "ObservabilityChecker check_with_store_order",
+})
 
 __all__ = [
     "TSO",

@@ -126,18 +126,52 @@ def load_edges(
     return out
 
 
-_R6_TEXT = "store n{} precedes load n{}, which observed store n{} (Value axiom)"
-_R7_TEXT = "load n{} observed store n{}, which precedes store n{} (Value axiom)"
+#: One shared reason per static rule (R1–R3, ``atomic``, ``init``).
+STATIC_REASONS = {
+    rule: EdgeReason(rule, "program order")
+    for rule in ("R1", "R2", "R3", "atomic", "init")
+}
+
+# One renderer per rule, shared by every reason: a bound ``str.format``
+# per edge would cost an object each.
+_r6_text = (
+    "store n{} precedes load n{}, which observed store n{} (Value axiom)"
+).format
+_r7_text = (
+    "load n{} observed store n{}, which precedes store n{} (Value axiom)"
+).format
 
 
 def r6_reason(s_prime: int, load: int, target: int) -> EdgeReason:
     """Why R6 orders ``s_prime`` before ``target`` (vc/stream)."""
-    return EdgeReason.deferred("R6", _R6_TEXT.format, s_prime, load, target)
+    return EdgeReason.deferred("R6", _r6_text, s_prime, load, target)
 
 
 def r7_reason(load: int, store: int, s_prime: int) -> EdgeReason:
     """Why R7 orders ``load`` before ``s_prime`` (vc/stream)."""
-    return EdgeReason.deferred("R7", _R7_TEXT.format, load, store, s_prime)
+    return EdgeReason.deferred("R7", _r7_text, load, store, s_prime)
+
+
+def _r6_described(
+    aprog: AnalysisProgram, s_prime: int, load: int, target: int
+) -> str:
+    return (
+        f"{aprog.describe(s_prime)} precedes {aprog.describe(load)} "
+        f"in the global order, and the load observed "
+        f"{aprog.describe(target)}; by the Value axiom the preceding "
+        "store must come before the observed one"
+    )
+
+
+def _r7_described(
+    aprog: AnalysisProgram, load: int, store: int, s_prime: int
+) -> str:
+    return (
+        f"{aprog.describe(load)} observed {aprog.describe(store)} "
+        f"which precedes {aprog.describe(s_prime)}; had the load "
+        "bound after the later store it could not have observed "
+        "the earlier one (Value axiom)"
+    )
 
 
 def cycle_violation(
@@ -193,7 +227,7 @@ class BaselineChecker:
         self._graph = graph
         try:
             for u, v, rule in static_edges(aprog, self.model):
-                if graph.add_edge(u, v, EdgeReason(rule, "program order")):
+                if graph.add_edge(u, v, STATIC_REASONS[rule]):
                     stats.static_edges += 1
             for u, v, reason, _rule in observed_edges(aprog):
                 if graph.add_edge(u, v, reason):
@@ -263,12 +297,8 @@ class BaselineChecker:
             node = aprog.ops[s_prime]
             if not node.is_store or node.addr != addr or s_prime == target:
                 continue
-            reason = EdgeReason(
-                "R6",
-                f"{aprog.describe(s_prime)} precedes {aprog.describe(load)} "
-                f"in the global order, and the load observed "
-                f"{aprog.describe(target)}; by the Value axiom the preceding "
-                "store must come before the observed one",
+            reason = EdgeReason.deferred(
+                "R6", _r6_described, aprog, s_prime, load, target
             )
             if graph.add_edge(s_prime, target, reason):
                 stats.inferred_edges += 1
@@ -290,12 +320,8 @@ class BaselineChecker:
             if not node.is_store or node.addr != addr or s_prime == store:
                 continue
             for load, _load_last in observers:
-                reason = EdgeReason(
-                    "R7",
-                    f"{aprog.describe(load)} observed {aprog.describe(store)} "
-                    f"which precedes {aprog.describe(s_prime)}; had the load "
-                    "bound after the later store it could not have observed "
-                    "the earlier one (Value axiom)",
+                reason = EdgeReason.deferred(
+                    "R7", _r7_described, aprog, load, store, s_prime
                 )
                 if graph.add_edge(load, s_prime, reason):
                     stats.inferred_edges += 1

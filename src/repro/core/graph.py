@@ -44,7 +44,6 @@ class ConstraintGraph:
         self.n = 0
         self.succ: List[List[int]] = []
         self.pred: List[List[int]] = []
-        self._succ_sets: List[set] = []
         # Redirection tables: _group[i] is node i's atomic group (-1 if
         # none), _red_src[i]/_red_dst[i] its group-last/group-first.
         # redirect() is called once per prospective edge — several per
@@ -53,6 +52,8 @@ class ConstraintGraph:
         self._group: List[int] = []
         self._red_src: List[int] = []
         self._red_dst: List[int] = []
+        # The one edge index: keyed by the redirected (u, v), it is what
+        # has_edge tests and the add methods insert into.
         self.reasons: Dict[Tuple[int, int], EdgeReason] = {}
         self.edge_count = 0
         self.grow()
@@ -74,13 +75,12 @@ class ConstraintGraph:
         if start >= n:
             return
         ops = aprog.ops
-        succ, pred, succ_sets = self.succ, self.pred, self._succ_sets
+        succ, pred = self.succ, self.pred
         group_of, red_src, red_dst = self._group, self._red_src, self._red_dst
         touched = set()
         for i in range(start, n):
             succ.append([])
             pred.append([])
-            succ_sets.append(set())
             red_src.append(i)
             red_dst.append(i)
             group = ops[i].group
@@ -109,7 +109,7 @@ class ConstraintGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         """True if the explicit (non-transitive) edge ``u -> v`` exists."""
-        return v in self._succ_sets[u]
+        return (u, v) in self.reasons
 
     def add_edge(self, u: int, v: int, reason: EdgeReason) -> bool:
         """Add ``u -> v`` (after redirection); return True if it is new.
@@ -118,35 +118,28 @@ class ConstraintGraph:
             CycleDetected: if the redirected edge is a self-loop, which is
                 an immediate one-node cycle.
         """
-        # redirect() + add_redirected(), inlined: this is the guaranteed
-        # phase's per-edge path, hot enough for the two calls to show up.
+        # redirect(), inlined: this is the guaranteed phase's per-edge
+        # path, and the call and its tuple would show up there.
         gu = self._group[u]
         if gu == -1 or gu != self._group[v]:
             u = self._red_src[u]
             v = self._red_dst[v]
         if u == v:
             raise CycleDetected(u, v)
-        succ_set = self._succ_sets[u]
-        if v in succ_set:
-            return False
-        succ_set.add(v)
-        self.succ[u].append(v)
-        self.pred[v].append(u)
-        self.reasons[(u, v)] = reason
-        self.edge_count += 1
-        return True
+        return self.add_redirected(u, v, reason)
 
     def add_redirected(self, u: int, v: int, reason: EdgeReason) -> bool:
         """:meth:`add_edge` for endpoints already redirected by the
         caller — the incremental engines redirect once up front and
         insert millions of edges, so the second redirection is pure
         overhead on their hot path."""
-        if v in self._succ_sets[u]:
+        reasons = self.reasons
+        key = (u, v)
+        if key in reasons:
             return False
-        self._succ_sets[u].add(v)
+        reasons[key] = reason
         self.succ[u].append(v)
         self.pred[v].append(u)
-        self.reasons[(u, v)] = reason
         self.edge_count += 1
         return True
 

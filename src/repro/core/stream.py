@@ -56,6 +56,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import telemetry
 from repro.core.checker import (
+    STATIC_REASONS,
     cycle_violation,
     load_edges,
     precheck_violation,
@@ -64,7 +65,7 @@ from repro.core.checker import (
 from repro.core.graph import ConstraintGraph, CycleDetected
 from repro.core.policy import MemoryModel, ProgramOrder, TSO
 from repro.core.prep import Chains, chain_key
-from repro.core.result import CheckResult, CheckStats, EdgeReason, Violation
+from repro.core.result import CheckResult, CheckStats, Violation
 from repro.core.vc import FrontierCore
 from repro.model.expansion import NO_GROUP, AnalysisProgram, OpKind, StreamExpander
 from repro.model.trace import DynRecord
@@ -77,13 +78,6 @@ DEFAULT_WINDOW = 4096
 #: Frontier entry for "no position reachable" (the vc engine uses
 #: ``n + 1``, but a stream does not know its final ``n``).
 _INF = 1 << 60
-
-#: One shared reason per static rule.
-_STATIC_REASONS = {
-    rule: EdgeReason(rule, "program order")
-    for rule in ("R1", "R2", "R3", "atomic", "init")
-}
-
 
 class _StreamState(FrontierCore):
     """The online driver over a (possibly growing) program.
@@ -215,7 +209,7 @@ class _StreamState(FrontierCore):
             static.append((aprog.roots[op.addr], op_id, "init"))
             self._note_new_store(op_id, op.addr)
         for u, v, rule in static:
-            if self._add_edge(u, v, _STATIC_REASONS[rule]):
+            if self._add_edge(u, v, STATIC_REASONS[rule]):
                 self._stats.static_edges += 1
 
     def _note_new_store(self, store: int, addr: int) -> None:

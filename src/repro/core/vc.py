@@ -104,6 +104,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.core.checker import (
+    STATIC_REASONS,
     cycle_violation,
     observed_edges,
     precheck_violation,
@@ -428,16 +429,9 @@ class VectorClockChecker(FrontierCore):
         self._graph = graph
         self._stats = stats
 
-        # One shared reason per static rule.
-        static_reasons = {}
         try:
             for u, v, rule in static_edges(aprog, self.model):
-                reason = static_reasons.get(rule)
-                if reason is None:
-                    reason = static_reasons[rule] = EdgeReason(
-                        rule, "program order"
-                    )
-                if graph.add_edge(u, v, reason):
+                if graph.add_edge(u, v, STATIC_REASONS[rule]):
                     stats.static_edges += 1
             for u, v, reason, _rule in observed_edges(aprog):
                 if graph.add_edge(u, v, reason):

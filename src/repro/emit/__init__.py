@@ -12,8 +12,12 @@ output pipes straight back into the checker — Step 2 on real (x86 = TSO)
 hardware.
 """
 
-from repro.emit.c11 import C11_MIX, EmitC11Config, c11_generator_config, emit_c11
-from repro.emit.sparc import EmitConfig, emit_sparc
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".sparc": "EmitConfig emit_sparc",
+    ".c11": "C11_MIX EmitC11Config c11_generator_config emit_c11",
+})
 
 __all__ = [
     "EmitConfig",

@@ -10,10 +10,14 @@
   used for run-time randomization (branch directions).
 """
 
-from repro.generator.config import GeneratorConfig, InstructionMix
-from repro.generator.generator import generate_program
-from repro.generator.lfsr import Lfsr
-from repro.generator.litmus import LITMUS_LIBRARY, LitmusCase
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".config": "GeneratorConfig InstructionMix",
+    ".generator": "generate_program",
+    ".lfsr": "Lfsr",
+    ".litmus": "LITMUS_LIBRARY LitmusCase",
+})
 
 __all__ = [
     "GeneratorConfig",

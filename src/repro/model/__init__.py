@@ -9,32 +9,17 @@ operation stream that the analysis algorithm consumes
 (:mod:`repro.model.expansion`).
 """
 
-from repro.model.ops import (
-    WORD_SIZE,
-    Instr,
-    ILoad,
-    IStore,
-    ISwap,
-    ICas,
-    IMembar,
-    IBlockLoad,
-    IBlockStore,
-    IPrefetch,
-    INonFaultingLoad,
-    IFlushCache,
-    IFlushPipe,
-    IBranch,
-    PrefetchVariant,
-)
-from repro.model.program import Program, Thread, parse_litmus, format_program
-from repro.model.trace import DynRecord, Execution
-from repro.model.expansion import (
-    AnalysisOp,
-    AnalysisProgram,
-    ExpansionError,
-    UnmappedValueError,
-    expand,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".ops": "WORD_SIZE Instr ILoad IStore ISwap ICas IMembar IBlockLoad "
+           "IBlockStore IPrefetch INonFaultingLoad IFlushCache IFlushPipe "
+           "IBranch PrefetchVariant",
+    ".program": "Program Thread parse_litmus format_program",
+    ".trace": "DynRecord Execution",
+    ".expansion": "AnalysisOp AnalysisProgram ExpansionError "
+                 "UnmappedValueError expand",
+})
 
 __all__ = [
     "WORD_SIZE",

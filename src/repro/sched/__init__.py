@@ -16,22 +16,15 @@ Owns every nondeterministic decision the simulator makes, behind the
 See ``docs/schedulers.md`` for when to use each.
 """
 
-from repro.sched.pct import PctPolicy
-from repro.sched.policy import RandomPolicy, SchedulePolicy
-from repro.sched.spec import KINDS, SchedSpec, make_policy
-from repro.sched.sweep import (
-    SweepOutcome,
-    SweepPolicy,
-    SweepResult,
-    outcome_key,
-    sweep_program,
-)
-from repro.sched.trace import (
-    RecordingPolicy,
-    ReplayPolicy,
-    ScheduleDivergence,
-    ScheduleTrace,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".pct": "PctPolicy",
+    ".policy": "RandomPolicy SchedulePolicy",
+    ".spec": "KINDS SchedSpec make_policy",
+    ".sweep": "SweepOutcome SweepPolicy SweepResult outcome_key sweep_program",
+    ".trace": "RecordingPolicy ReplayPolicy ScheduleDivergence ScheduleTrace",
+})
 
 __all__ = [
     "KINDS",

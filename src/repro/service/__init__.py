@@ -35,12 +35,16 @@ service job's merged result reports the same tables, detection rate
 and exit code as a from-scratch ``run_campaign`` of the same manifest.
 """
 
-from repro.service.daemon import CampaignService, ServiceConfig
-from repro.service.lease import Lease, LeaseManager, default_owner
-from repro.service.manifest import CampaignManifest, Shard
-from repro.service.queue import JobRunner
-from repro.service.status import StatusServer
-from repro.service.store import ResultStore, failure_digest, hunt_digest
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".daemon": "CampaignService ServiceConfig",
+    ".lease": "Lease LeaseManager default_owner",
+    ".manifest": "CampaignManifest Shard",
+    ".queue": "JobRunner",
+    ".status": "StatusServer",
+    ".store": "ResultStore failure_digest hunt_digest",
+})
 
 __all__ = [
     "CampaignManifest",

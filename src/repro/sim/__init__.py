@@ -28,11 +28,15 @@ Architecture (one instance each per machine):
   bug rosters regenerate Tables 1 and 2.
 """
 
-from repro.sim.machine import MachineConfig, TsoMachine
-from repro.sim.memory import Memory
-from repro.sim.storebuffer import BufferedStore, StoreBuffer
-from repro.sim.cache import CpuCache
-from repro.sim.interconnect import Interconnect
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".machine": "MachineConfig TsoMachine",
+    ".memory": "Memory",
+    ".storebuffer": "BufferedStore StoreBuffer",
+    ".cache": "CpuCache",
+    ".interconnect": "Interconnect",
+})
 
 __all__ = [
     "MachineConfig",

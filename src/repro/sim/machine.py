@@ -58,7 +58,7 @@ from repro.model.trace import DynRecord, Execution
 from repro.sched.policy import RandomPolicy, SchedulePolicy
 from repro.sched.spec import SchedSpec, make_policy
 from repro.sim import interconnect as ic
-from repro.sim.cache import CpuCache
+from repro.sim.cache import LINE_SIZE, CpuCache, line_of
 from repro.sim.cpu import Cpu
 from repro.sim.faults import FAULT_HOOKS, Fault, overrides
 from repro.sim.interconnect import Interconnect
@@ -144,7 +144,9 @@ class MachineConfig:
             hardware prefetch"): two consecutive loads from adjacent
             cache lines install the following line.  Value-transparent
             on a healthy machine; it widens the attack surface of the
-            cache fault models.
+            cache fault models.  It needs shared words on three or more
+            lines: the campaign's default 6 words at stride 1 fit in one
+            line and never trigger it (``stride_words=8`` does).
         enable_monitor: run the coherence runtime checker each commit
             (the "runtime checkers monitoring the design" of Sec. 3.2).
         max_tick_factor: safety valve — the run aborts after
@@ -685,8 +687,6 @@ class TsoMachine:
 
     def _maybe_hw_prefetch(self, cpu: Cpu, addr: int) -> None:
         """Install the next line after two sequential-line loads."""
-        from repro.sim.cache import LINE_SIZE, line_of
-
         line = line_of(addr)
         if cpu.last_load_line == line - LINE_SIZE:
             nxt = line + LINE_SIZE

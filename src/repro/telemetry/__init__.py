@@ -23,31 +23,15 @@ store order); this package instruments the tool itself — where the
 paper's Sec. 5 runtime accounting comes from.
 """
 
-from repro.telemetry.registry import (
-    ENV_METRICS_OUT,
-    Histogram,
-    Telemetry,
-    configure,
-    count,
-    event,
-    get_telemetry,
-    init_worker,
-    observe,
-    record,
-    record_check,
-    render_summary,
-    reset,
-    set_telemetry,
-    span,
-    summarize_file,
-)
-from repro.telemetry.schema import (
-    SCHEMA_VERSION,
-    SchemaError,
-    validate_event,
-    validate_file,
-)
-from repro.telemetry.sinks import JsonlSink, MemorySink, NullSink, Sink
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".registry": "ENV_METRICS_OUT Histogram Telemetry configure count event "
+                "get_telemetry init_worker observe record record_check "
+                "render_summary reset set_telemetry span summarize_file",
+    ".schema": "SCHEMA_VERSION SchemaError validate_event validate_file",
+    ".sinks": "JsonlSink MemorySink NullSink Sink",
+})
 
 __all__ = [
     "ENV_METRICS_OUT",

@@ -280,8 +280,11 @@ class TestTwoDaemonKillTakeover:
     def test_sigkill_one_daemon_peer_takes_over(self, tmp_path):
         root = str(tmp_path / "svc")
         manifest_path = str(tmp_path / "m.json")
+        # 8 seeds (24 hunts): daemon-a needs ~0.5 s after its second
+        # hunt to drain the job, so the kill ~0.25 s later lands
+        # mid-drain; a 12-hunt job was often drained before it.
         m = CampaignManifest(
-            name="fleet-e2e", seeds=(1, 2, 3, 4), cpus=("CPU1",),
+            name="fleet-e2e", seeds=tuple(range(1, 9)), cpus=("CPU1",),
             tests_per_bug=8,
         )
         m.save(manifest_path)
