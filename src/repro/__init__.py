@@ -7,9 +7,9 @@ with a polynomial-time, sound-but-incomplete constraint-graph algorithm.
 
 This package provides, end to end:
 
-* the analysis algorithm (rules R1–R7, Fig. 2) in three agreeing
-  engines — from the literal
-  :class:`~repro.core.checker.BaselineChecker` to the incremental
+* the analysis algorithm (rules R1–R7, Fig. 2) in two agreeing
+  engines — the literal
+  :class:`~repro.core.checker.BaselineChecker` and the incremental
   :class:`~repro.core.vc.VectorClockChecker` default (see
   ``docs/engines.md``) — plus the exponential complete procedure
   :func:`~repro.core.complete.complete_check`;

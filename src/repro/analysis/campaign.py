@@ -30,7 +30,7 @@ from repro.analysis.pool import ProgressFn, run_tasks
 from repro.analysis.replay import bug_spec_from_meta, hunt_trace_meta
 from repro.core.api import DEFAULT_ENGINE, check
 from repro.core.policy import TSO, MemoryModel
-from repro.core.stream import DEFAULT_WINDOW, stream_check_machine
+from repro.core.stream import stream_check_machine
 from repro.core.result import PoolStats
 from repro.generator.config import GeneratorConfig, InstructionMix
 from repro.generator.generator import generate_program
@@ -70,14 +70,16 @@ class CampaignConfig:
             index) alone, so results are hunt-for-hunt identical for
             any batch size.
         pipeline: overlap checking with simulation per attempt using
-            the streaming checker (architecture/design hunts only):
-            the run is checked as records retire and a violating seed
+            the online checker (:mod:`repro.core.stream`;
+            architecture/design hunts only): the run is checked as
+            records retire, keeping the whole run, and a violating seed
             aborts at the closing record, then that one attempt is
             re-run conventionally for the canonical verdict — hunts
-            stay identical to the non-pipelined path.  Monitor and
-            environment hunts always triage conventionally (their
-            verdicts consult post-run machine state, and the observer
-            hook changes where observation faults draw their RNG).
+            stay identical to the non-pipelined path at any program
+            size.  Monitor and environment hunts always triage
+            conventionally (their verdicts consult post-run machine
+            state, and the observer hook changes where observation
+            faults draw their RNG).
     """
 
     tests_per_bug: int = 10
@@ -351,16 +353,11 @@ def _pipeline_applies(spec: BugSpec, config: CampaignConfig) -> bool:
     "does the observed run pass analysis", their faults never corrupt
     the observation path (so the observer hook sees the same records
     the batch path would), and the verdict carries no post-run machine
-    state.  Programs must also fit the streaming window with margin —
-    retirement may lose inference on longer runs, and pipeline mode
-    promises verdicts identical to the conventional path.
+    state.
     """
-    if not config.pipeline:
-        return False
-    if spec.bug_class not in (BugClass.ARCHITECTURE, BugClass.DESIGN):
-        return False
-    slots = config.generator.nprocs * config.generator.ops_per_proc
-    return slots <= DEFAULT_WINDOW // 2
+    return config.pipeline and spec.bug_class in (
+        BugClass.ARCHITECTURE, BugClass.DESIGN
+    )
 
 
 def hunt_bug(

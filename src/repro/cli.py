@@ -722,9 +722,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "Note --task-timeout then covers a whole batch")
     p.add_argument("--pipeline", action="store_true",
                    help="overlap checking with simulation per attempt "
-                        "(streaming checker; violating seeds abort at "
-                        "the closing record) — verdicts identical to "
-                        "the conventional path")
+                        "(online checker over the whole run; violating "
+                        "seeds abort at the closing record) — verdicts "
+                        "identical to the conventional path")
     _add_telemetry_args(p)
     p.set_defaults(func=_cmd_campaign)
 

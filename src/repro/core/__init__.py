@@ -10,10 +10,10 @@ Public surface:
   with per-edge reasons, DOT export,
 * :class:`repro.core.checker.BaselineChecker` — the literal Fig. 2
   algorithm,
-* :class:`repro.core.vc.VectorClockChecker` /
-  :class:`repro.core.stream.StreamingChecker` — the optimized engines
-  (the default incremental chain-frontier engine, and its
-  record-at-a-time streaming twin; see ``docs/engines.md``),
+* :class:`repro.core.vc.VectorClockChecker` — the optimized default
+  engine (incremental chain frontiers; see ``docs/engines.md``), whose
+  core :func:`repro.core.stream.stream_check_machine` drives one record
+  at a time while campaign pipeline mode simulates,
 * :func:`repro.core.complete.complete_check` — the exponential complete
   decision procedure (enforces the Order axiom; small programs only).
 

@@ -30,7 +30,6 @@ from repro import telemetry
 from repro.core.checker import BaselineChecker
 from repro.core.policy import MemoryModel, TSO
 from repro.core.result import CheckResult
-from repro.core.stream import StreamingChecker
 from repro.core.vc import VectorClockChecker
 from repro.model.expansion import expand
 from repro.model.program import Program, parse_litmus
@@ -39,12 +38,11 @@ from repro.model.trace import Execution
 #: Registered checker engines, by name.
 ENGINES = {
     "baseline": BaselineChecker,
-    "stream": StreamingChecker,
     "vc": VectorClockChecker,
 }
 
 #: The production default: the incremental vector-clock engine (see
-#: ``docs/engines.md`` for the three engines and when to pick each).
+#: ``docs/engines.md`` for the two engines and when to pick each).
 DEFAULT_ENGINE = "vc"
 
 

@@ -92,7 +92,8 @@ class ProgramOrder:
     returns each op's program-order in-edges.
 
     :func:`static_edges` drives one per processor over a whole program;
-    the stream engine drives one op at a time as records arrive.
+    the online checker (:mod:`repro.core.stream`) drives one op at a
+    time as records arrive.
     :attr:`last_store_to` is the last store to each address so far —
     the R5 ``S'`` of a load that follows.
     """

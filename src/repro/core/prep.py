@@ -86,7 +86,7 @@ class Chains:
 
     Every chain is a path of static edges, which is what makes a
     frontier entry exact: if chain member ``c[i]`` reaches ``v``, so
-    does every ``c[j]`` with ``j < i``.  The vc and stream engines keep
+    does every ``c[j]`` with ``j < i``.  The vc engine and the online checker keep
     ``vec_to`` and ``vec_from`` rows with one entry per *column* chain
     (:attr:`to_col`; -1: no column), and their R6/R7 candidate queries
     search :attr:`addr_stores`.  Root stores are left out of both: a

@@ -254,8 +254,8 @@ class CheckStats:
     Every engine fills the shared fields; ``traversals``/
     ``traversal_visits`` are traversal-engine specific,
     ``closure_rebuilds`` vc-engine specific, and
-    ``vc_queries``/``reorder_visits`` frontier-engine (vc and stream)
-    specific.  The per-run
+    ``vc_queries``/``reorder_visits`` frontier-engine (vc and the
+    pipeline's online checker) specific.  The per-run
     stats also feed :func:`repro.telemetry.record_check`, which folds
     them into the process-wide ``check.*`` counters.
     """
@@ -288,11 +288,8 @@ class CheckStats:
     #: the affected-region cost of keeping the topological order (and
     #: with it cycle detection) current across edge insertions.
     reorder_visits: int = 0
-    #: Stream engine only: nodes whose frontier vectors were dropped by
-    #: window retirement, and the peak count of simultaneously-live
-    #: (vector-carrying) nodes.  ``live_peak`` is the engine's memory
-    #: bound: it must track the window, not the run length.
-    retired_nodes: int = 0
+    #: Pipeline sessions only: the nodes the session admitted (roots
+    #: included; a cycle stops admission at the op that closes it).
     live_peak: int = 0
 
     @property
@@ -314,7 +311,6 @@ class CheckStats:
             "closure_rebuilds": self.closure_rebuilds,
             "vc_queries": self.vc_queries,
             "reorder_visits": self.reorder_visits,
-            "retired_nodes": self.retired_nodes,
             "live_peak": self.live_peak,
         }
 
@@ -328,8 +324,9 @@ class CheckResult:
             but incomplete (Sec. 4): ``ok=False`` proves a violation;
             ``ok=True`` does not prove compliance.
         model_name: the memory model the execution was checked against.
-        engine: the checker engine used (``baseline``, ``vc`` or
-            ``stream``).
+        engine: the checker engine used (``baseline`` or ``vc``), or
+            ``stream`` for a pipeline session
+            (:class:`repro.core.stream.StreamSession`).
         violation: the witness, when ``ok`` is False.
         stats: analysis-size and runtime bookkeeping.
         aprog: the analysis program, retained for rendering.

@@ -90,9 +90,9 @@ agreement with the other engines is enforced by
 
 The incremental machinery — insertion under the online order, both
 floods, the R6 interval and the R7 chain scan — is
-:class:`FrontierCore`, which the stream engine (:mod:`repro.core.stream`)
-drives one record at a time; :class:`VectorClockChecker` drives it in
-batch passes.
+:class:`FrontierCore`, which the pipeline's online checker
+(:mod:`repro.core.stream`) drives one record at a time;
+:class:`VectorClockChecker` drives it in batch passes.
 """
 
 from __future__ import annotations
@@ -120,9 +120,10 @@ from repro.model.expansion import AnalysisProgram
 
 
 class FrontierCore:
-    """The incremental machinery the vc and stream engines share: edge
-    insertion under a Pearce–Kelly order, the two frontier floods, and
-    the R6/R7 candidate scans over :class:`~repro.core.prep.Chains`.
+    """The incremental machinery the vc engine and the online checker
+    (:mod:`repro.core.stream`) share: edge insertion under a
+    Pearce–Kelly order, the two frontier floods, and the R6/R7
+    candidate scans over :class:`~repro.core.prep.Chains`.
 
     An engine sets these before its first insertion: ``_graph``,
     ``_stats``, ``_chains``, ``_ord`` (order index per node),
@@ -131,12 +132,6 @@ class FrontierCore:
     for every row a flood improves: a stamp list in vc, a dict of moved
     nodes in stream), ``_seq`` and ``_inf`` (the "unreached" entry).
     """
-
-    #: The shared rows of retired nodes (stream only): no flood can
-    #: improve them, and an insertion whose source row is one of them
-    #: pushes nothing.
-    _retired_to: Optional[List[int]] = None
-    _retired_from: Optional[List[int]] = None
 
     def _add_edge(self, u: int, v: int, reason: EdgeReason) -> bool:
         """Insert ``u -> v``; keep order + frontiers current.
@@ -157,10 +152,8 @@ class FrontierCore:
             self._reorder(u, v, reason)
         graph.add_redirected(u, v, reason)
         self._seq += 1
-        if self._vec_to[u] is not self._retired_to:
-            self._push_forward(u, v)
-        if self._vec_from[v] is not self._retired_from:
-            self._push_backward(u, v)
+        self._push_forward(u, v)
+        self._push_backward(u, v)
         return True
 
     def _reorder(self, u: int, v: int, reason: EdgeReason) -> None:
@@ -217,7 +210,7 @@ class FrontierCore:
         stack of child lists, so a child costs one integer compare.
         Improved rows are stamped.  Columns flood highest first, each
         depth-first, which fixes the order in which rows are first
-        stamped: the stream engine drains its moved rows in that order.
+        stamped: the online checker drains its moved rows in that order.
         """
         vec_to = self._vec_to
         moved = self._moved_to
@@ -366,6 +359,12 @@ class VectorClockChecker(FrontierCore):
 
     name = "vc"
 
+    #: Per-check tables :meth:`run` drops when it returns (the result
+    #: keeps the graph), so a checker run again holds one check's worth.
+    _CHECK_STATE = (
+        "_chains", "_ord", "_vec_to", "_vec_from", "_moved_to", "_moved_from",
+    )
+
     def __init__(
         self,
         model: MemoryModel = TSO,
@@ -387,13 +386,15 @@ class VectorClockChecker(FrontierCore):
         The cyclic garbage collector is paused for the whole check: a
         check builds no reference cycles, so its passes could free
         nothing.  The caller's collector state is restored on return,
-        also when the check raises.
+        and the per-check tables are dropped, also when the check raises.
         """
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
             return self._run(aprog)
         finally:
+            for name in self._CHECK_STATE:
+                self.__dict__.pop(name, None)
             if gc_was_enabled:
                 gc.enable()
 

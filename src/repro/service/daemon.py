@@ -43,7 +43,7 @@ from repro.service.lease import DEFAULT_LEASE_SECONDS, default_owner
 from repro.service.manifest import CampaignManifest
 from repro.service.queue import JobRunner
 from repro.service.status import StatusServer
-from repro.service.store import ResultStore
+from repro.service.store import ResultStore, atomic_write
 
 #: Store-file signature: (relative path, size, mtime ns) per file — the
 #: cache key for a job's summary.  Any append changes the signature.
@@ -130,10 +130,7 @@ class CampaignService:
         job_id = manifest.job_id
         path = self._spool_path(job_id)
         if not os.path.exists(path):
-            tmp = path + ".tmp"
-            with open(tmp, "w") as fh:
-                fh.write(manifest.to_json() + "\n")
-            os.replace(tmp, path)
+            atomic_write(path, manifest.to_json() + "\n")
             telemetry.count("service.submissions")
         return job_id
 
@@ -176,11 +173,9 @@ class CampaignService:
     def _write_result(self, job_id: str, doc: Dict[str, object]) -> None:
         """Atomically write a job's ``result.json`` (marks it done)."""
         os.makedirs(self.job_dir(job_id), exist_ok=True)
-        tmp = self.result_path(job_id) + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, self.result_path(job_id))
+        atomic_write(
+            self.result_path(job_id), json.dumps(doc, sort_keys=True) + "\n"
+        )
 
     def _fail_job(self, job_id: str, error: str) -> int:
         """Finish a job that cannot run with exit code 2 and the reason."""
@@ -258,10 +253,7 @@ class CampaignService:
                 port=self.config.http_port,
             ).start()
             host, port = server.address
-            tmp = self.address_path + ".tmp"
-            with open(tmp, "w") as fh:
-                fh.write(f"{host} {port}\n")
-            os.replace(tmp, self.address_path)
+            atomic_write(self.address_path, f"{host} {port}\n")
             print(
                 f"status endpoint: http://{host}:{port}/status "
                 f"(also in {self.address_path})",

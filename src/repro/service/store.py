@@ -71,6 +71,20 @@ from repro.service.manifest import CampaignManifest, Shard
 STORE_VERSION = 1
 
 
+def atomic_write(path: str, text: str) -> None:
+    """Replace ``path`` with ``text``: write a ``.tmp`` sibling, flush
+    and fsync it, then ``os.replace`` it over ``path``.  A crash leaves
+    the old file or the complete new one, never an empty or torn file
+    (a leftover ``.tmp`` is never read).  Every atomic rewrite in the
+    service goes through here."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
 def _canonical(data: object) -> str:
     return json.dumps(data, separators=(",", ":"), sort_keys=True)
 
@@ -344,10 +358,7 @@ class ResultStore:
 
     def save_manifest(self, manifest: CampaignManifest) -> None:
         """Persist the job's manifest (idempotent; atomic replace)."""
-        tmp = self.manifest_path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(manifest.to_json() + "\n")
-        os.replace(tmp, self.manifest_path)
+        atomic_write(self.manifest_path, manifest.to_json() + "\n")
 
     def load_manifest(self) -> CampaignManifest:
         return CampaignManifest.load(self.manifest_path)
@@ -521,12 +532,7 @@ class ResultStore:
             "hunts": len(state.hunts), "v": STORE_VERSION,
         }))
         self._drop_fd(path)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        atomic_write(path, "\n".join(lines) + "\n")
         state.lease = None
         state.lease_seen = False
         telemetry.count("service.shards_compacted")

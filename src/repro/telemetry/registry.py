@@ -357,7 +357,6 @@ def record_check(stats: Any, engine: str) -> None:
     active.count("check.traversals", stats.traversals)
     active.count("check.vc_queries", stats.vc_queries)
     active.count("check.reorder_visits", stats.reorder_visits)
-    active.count("check.retired_nodes", stats.retired_nodes)
     if stats.live_peak:
         active.record("check.live_peak", stats.live_peak)
     active.record("check.seconds", stats.seconds)

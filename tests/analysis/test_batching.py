@@ -13,6 +13,7 @@ import dataclasses
 import pytest
 
 from repro import telemetry
+from repro.analysis import campaign
 from repro.analysis.campaign import (
     BugHunt,
     CampaignConfig,
@@ -95,22 +96,31 @@ class TestPipelineParity:
         both = dataclasses.replace(SMALL, batch=4, pipeline=True)
         assert _digests(run_campaign(CPUS, both, workers=1)) == baseline
 
-    def test_pipeline_skipped_when_program_exceeds_window(self):
-        """Programs too long for the streaming window fall back to the
-        conventional path (still digest-identical by construction)."""
+    def test_pipeline_matches_conventional_on_long_programs(
+        self, monkeypatch
+    ):
+        """4x600 programs (2,400 op slots per attempt) are stream-checked
+        like short ones and reach the conventional digests: a session
+        keeps the whole run, so no program size falls back."""
         big = dataclasses.replace(
             SMALL,
             generator=GeneratorConfig(
                 nprocs=4, ops_per_proc=600, shared_words=4
             ),
             tests_per_bug=1,
-            pipeline=True,
         )
-        from repro.analysis.campaign import _pipeline_applies
+        baseline = _digests(run_campaign(CPUS, big, workers=1))
+        sessions = []
+        streamed = campaign.stream_check_machine
 
-        spec = CPUS[0].bugs[0]
-        assert not _pipeline_applies(spec, big)
-        assert _pipeline_applies(spec, dataclasses.replace(SMALL, pipeline=True))
+        def counted(machine, **kwargs):
+            sessions.append(len(machine.cpus))
+            return streamed(machine, **kwargs)
+
+        monkeypatch.setattr(campaign, "stream_check_machine", counted)
+        piped = dataclasses.replace(big, pipeline=True)
+        assert _digests(run_campaign(CPUS, piped, workers=1)) == baseline
+        assert sessions
 
 
 class TestHungChunks:

@@ -12,12 +12,12 @@ from repro.core.result import (
     ViolationKind,
 )
 from repro.model.trace import Execution
-from tests.util import golden_run
+from tests.util import golden_run, stream_check
 
 
 class TestMakeChecker:
     def test_engines_registered(self):
-        assert set(ENGINES) == {"baseline", "stream", "vc"}
+        assert set(ENGINES) == {"baseline", "vc"}
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -85,8 +85,7 @@ class TestResultObjects:
         program, execution, _machine = golden_run(seed=11)
         baseline = check(program, execution, engine="baseline")
         assert baseline.stats.closure_rebuilds == 0
-        stream = check(program, execution, engine="stream")
-        assert stream.stats.closure_rebuilds == 0
+        assert stream_check(program, execution).stats.closure_rebuilds == 0
         # The incremental engine builds its closure exactly once.
         vc = check(program, execution, engine="vc")
         assert vc.stats.closure_rebuilds == 1

@@ -4,18 +4,20 @@ At the paper's operating point (16 processors x 400 instructions on 16
 words) the analysis graph is most of what a check allocates.  These
 tests hold it to one edge index (``ConstraintGraph.reasons``), reasons
 that share their renderers and their static instances, and a
-tracemalloc peak that a per-node successor set would overshoot.
+tracemalloc peak that a per-node successor set would overshoot.  The
+``stream`` cases run a pipeline session through
+``tests.util.stream_check``.  A vc checker drops its per-check tables
+when ``run`` returns, so a checker run again holds one check's tables.
 """
 
 import tracemalloc
 
 import pytest
 
-from repro.core.api import check
 from repro.core.checker import STATIC_REASONS
 from repro.core.vc import VectorClockChecker
 from repro.model.expansion import AnalysisProgram, expand
-from tests.util import golden_run, paper_scale_run
+from tests.util import check_on, golden_run, paper_scale_run
 
 #: Bound on the tracemalloc peak of a vc check at paper seed 1, in MB.
 #: On Python 3.11 the peak is 18.2 MB with one edge index, and 22.5 MB
@@ -48,7 +50,7 @@ def test_paper_scale_check_peak(paper_aprog):
 @pytest.mark.parametrize("engine", ["baseline", "vc", "stream"])
 def test_static_reasons_are_shared(engine):
     program, execution, _ = golden_run(5)
-    result = check(program, execution, engine=engine)
+    result = check_on(engine, program, execution)
     assert result.ok
     shared = set(map(id, STATIC_REASONS.values()))
     static = [r for r in result.graph.reasons.values() if r.rule in STATIC_REASONS]
@@ -66,7 +68,37 @@ def test_passing_check_renders_no_reason(engine, monkeypatch):
         return real_describe(aprog, node)
 
     monkeypatch.setattr(AnalysisProgram, "describe", describe)
-    result = check(program, execution, engine=engine)
+    result = check_on(engine, program, execution)
     assert result.ok
     assert result.stats.inferred_edges > 0
     assert described == []
+
+
+def _check_state(checker):
+    return {name for name in VectorClockChecker._CHECK_STATE
+            if name in vars(checker)}
+
+
+def _small_aprog():
+    program, execution, _ = golden_run(5)
+    return expand(
+        execution, initial=program.initial, word_names=program.word_names
+    )
+
+
+def test_vc_run_drops_its_tables():
+    checker = VectorClockChecker()
+    assert checker.run(_small_aprog()).ok
+    assert _check_state(checker) == set()
+
+
+def test_vc_run_drops_its_tables_on_error(monkeypatch):
+    def fail(self, *args):
+        assert _check_state(self) == set(VectorClockChecker._CHECK_STATE)
+        raise RuntimeError("mid-check")
+
+    monkeypatch.setattr(VectorClockChecker, "_fixed_point", fail)
+    checker = VectorClockChecker()
+    with pytest.raises(RuntimeError, match="mid-check"):
+        checker.run(_small_aprog())
+    assert _check_state(checker) == set()

@@ -1,4 +1,5 @@
-"""Every litmus case in the library, across models and engines."""
+"""Every litmus case in the library, across models and engines (and a
+pipeline session, as ``stream``)."""
 
 import pytest
 
@@ -6,7 +7,8 @@ from repro.core.api import ENGINES, check_litmus
 from repro.core.complete import complete_check
 from repro.core.policy import PSO, SC, TSO
 from repro.generator.litmus import LITMUS_LIBRARY, LitmusCase, litmus_by_name
-from tests.util import litmus_aprog
+from repro.model.program import parse_litmus
+from tests.util import check_on, litmus_aprog
 
 MODELS = {"TSO": TSO, "SC": SC, "PSO": PSO}
 
@@ -18,9 +20,10 @@ CASES = [(case, model) for case in LITMUS_LIBRARY for model in case.expect]
     CASES,
     ids=[f"{c.name}-{m}" for c, m in CASES],
 )
-@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("engine", sorted([*ENGINES, "stream"]))
 def test_expected_verdict(case: LitmusCase, model: str, engine: str):
-    result = check_litmus(case.text, model=MODELS[model], engine=engine)
+    program, execution = parse_litmus(case.text)
+    result = check_on(engine, program, execution, MODELS[model])
     assert result.ok == case.expect[model], result.explain()
 
 

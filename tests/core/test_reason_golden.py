@@ -6,7 +6,8 @@ formatted only when a witness reads them.  These pins hold the rendered
 text byte-identical to the eagerly formatted reasons it replaced: the
 sha1 of every ``(u, v, reason.render())`` of a paper-scale vc check,
 in insertion order, under TSO, PSO and SC, the same sha1 for one
-stream check, and the full ``explain()`` witness of the paper's Fig. 3
+pipeline session (fed proc by proc through ``tests.util.stream_check``),
+and the full ``explain()`` witness of the paper's Fig. 3
 and Fig. 7 on every engine.
 """
 
@@ -15,7 +16,7 @@ import pickle
 
 import pytest
 
-from repro.core.api import check, check_litmus
+from repro.core.api import check
 from repro.core.checker import r6_reason
 from repro.core.policy import PSO, SC, TSO
 from repro.core.result import EdgeReason
@@ -23,7 +24,8 @@ from repro.generator.config import GeneratorConfig
 from repro.generator.generator import generate_program
 from repro.generator.litmus import litmus_by_name
 from repro.sim.machine import TsoMachine
-from tests.util import paper_scale_run
+from repro.model.program import parse_litmus
+from tests.util import check_on, paper_scale_run, stream_check
 
 #: sha1 of vc's edge list at paper seed 1, per model.
 PAPER_SEED1_EDGES = {
@@ -32,8 +34,8 @@ PAPER_SEED1_EDGES = {
     "SC": "5c8e7bfc741c29d21b29fb4299a7fb9b811fd257",
 }
 
-#: sha1 of the stream engine's edge list for an 8x200 run (seed 1).
-#: The stream engine drains the rows the floods move in the order they
+#: sha1 of a pipeline session's edge list for an 8x200 run (seed 1).
+#: The session drains the rows the floods move in the order they
 #: were first stamped, so this also pins the floods' visiting order.
 STREAM_8X200_EDGES = "34a2ed727075624c8afb998aa82429e9811471dc"
 
@@ -124,13 +126,13 @@ def test_stream_edge_list():
     )
     program = generate_program(config, seed=1)
     execution = TsoMachine(program, seed=1).run()
-    result = check(program, execution, engine="stream")
-    assert edge_list_sha1(result) == STREAM_8X200_EDGES
+    assert edge_list_sha1(stream_check(program, execution)) == STREAM_8X200_EDGES
 
 
 @pytest.mark.parametrize("figure, engine", sorted(WITNESSES))
 def test_witness_text(figure, engine):
-    result = check_litmus(litmus_by_name(figure).text, engine=engine)
+    program, execution = parse_litmus(litmus_by_name(figure).text)
+    result = check_on(engine, program, execution)
     assert result.explain() == WITNESSES[figure, engine]
 
 

@@ -1,22 +1,17 @@
-"""Tests for the streaming online checker (``repro.core.stream``).
+"""Tests for the pipeline's online checker (``repro.core.stream``).
 
-Four concerns, in rising order of streaming-specificity:
+Three concerns, in rising order of streaming-specificity:
 
-* batch parity — as ``--engine stream`` the checker must agree with the
-  vc engine on verdict *and* violation kind (the property suite covers
-  this at scale; here are deterministic spot checks including the
-  witness format);
-* retirement soundness — golden runs must pass at *any* window, because
-  frontier retirement may only lose inference, never invent edges;
-* window-boundary detection — a cycle whose closing edge reaches back
-  into a retired epoch must still be caught and fully witnessed (the
-  graph survives retirement; only frontier vectors are dropped);
+* batch parity — a session fed a finished run processor by processor
+  (``tests.util.stream_check``) must agree with the vc engine on the
+  verdict, and on the violation kind whenever vc reports a cycle (the
+  property suite covers this at scale; here are deterministic spot
+  checks including the witness format);
 * session semantics — live feeding reports the violation at the record
   that closes the cycle, not at end of run, and pipelining with the
-  machine via the observer hook yields the same trace ``run()`` returns.
-
-A last class pins the inference itself: at the default window the
-streamed graph has the same transitive closure as the vc engine's.
+  machine via the observer hook yields the same trace ``run()`` returns;
+* closure — the streamed graph has the same transitive closure as the
+  vc engine's.
 """
 
 import functools
@@ -27,20 +22,21 @@ from repro.core.api import check
 from repro.core.graph import compute_closure, topological_order
 from repro.core.policy import PSO, SC, TSO, MemoryModel
 from repro.core.result import ViolationKind
-from repro.core.stream import DEFAULT_WINDOW, StreamingChecker, stream_check_machine
+from repro.core.stream import StreamSession, stream_check_machine
 from repro.core.vc import VectorClockChecker
 from repro.generator.config import GeneratorConfig
 from repro.generator.generator import generate_program
 from repro.model.expansion import expand
 from repro.model.program import parse_litmus
 from repro.sim.machine import MachineConfig, TsoMachine
-from tests.core.test_vc import _FAULTS, _runs
-from tests.util import golden_run, litmus_aprog
+from tests.core.test_vc import _FAULTS, _run_pairs
+from tests.util import golden_run, stream_check
 
 
-def _aprog_of(program, execution):
-    return expand(
-        execution, initial=program.initial, word_names=program.word_names
+def _session(program, nprocs):
+    return StreamSession(
+        TSO, sorted(program.addresses()), initial=program.initial,
+        word_names=program.word_names, nprocs=nprocs,
     )
 
 
@@ -53,7 +49,7 @@ class TestBatchParity:
             P3: L[B]=92 ; L[B]=91
         """
         program, execution = parse_litmus(text)
-        stream = check(program, execution, engine="stream")
+        stream = stream_check(program, execution)
         vc = check(program, execution, engine="vc")
         assert not stream.ok and not vc.ok
         assert stream.violation.kind == vc.violation.kind == ViolationKind.CYCLE
@@ -63,35 +59,29 @@ class TestBatchParity:
         assert "cycle" in stream.explain()
 
     def test_unmapped_value_kind_matches_batch(self):
-        result = StreamingChecker().run(litmus_aprog("P0: L[A]=42"))
+        result = stream_check(*parse_litmus("P0: L[A]=42"))
         assert not result.ok
         assert result.violation.kind == ViolationKind.UNMAPPED_VALUE
         assert "42" in result.violation.message
 
     def test_golden_runs_pass_under_each_model(self):
         program, execution, _machine = golden_run(seed=21)
-        aprog = _aprog_of(program, execution)
         for model in (TSO, PSO):
-            result = StreamingChecker(model).run(aprog)
+            result = stream_check(program, execution, model)
             assert result.ok, result.explain()
         # SC machine runs pass the SC stream checker too.
-        from repro.sim.machine import MachineConfig
-
         program, execution, _machine = golden_run(
             seed=22, machine_config=MachineConfig(sc_mode=True)
         )
-        assert StreamingChecker(SC).run(_aprog_of(program, execution)).ok
+        assert stream_check(program, execution, SC).ok
 
     def test_stats_populated(self):
         program, execution, _machine = golden_run(seed=23)
-        result = StreamingChecker().run(_aprog_of(program, execution))
-        stats = result.stats
+        stats = stream_check(program, execution).stats
         assert stats.nodes > 0 and stats.static_edges > 0
         assert stats.observed_edges > 0
-        assert stats.live_peak > 0
-        # Default window exceeds the run: nothing retires, vc parity holds.
-        assert stats.retired_nodes == 0
-        assert stats.nodes < DEFAULT_WINDOW
+        # A passing session admits every node of the run.
+        assert stats.live_peak == stats.nodes
 
     def test_unsupported_model_rejected_up_front(self):
         rmo_like = MemoryModel(
@@ -99,68 +89,7 @@ class TestBatchParity:
             store_store=False, store_load=False,
         )
         with pytest.raises(ValueError, match="load_load"):
-            StreamingChecker(rmo_like).run(litmus_aprog("P0: S[A]#1 ; L[A]=1"))
-
-
-class TestRetirementSoundness:
-    def test_golden_runs_pass_at_any_window(self):
-        # Retirement may lose inference (windowed verification) but must
-        # never create a false positive — golden runs pass even with a
-        # window of a single op.
-        config = GeneratorConfig(nprocs=4, ops_per_proc=40, shared_words=4)
-        for seed in range(5):
-            program = generate_program(config, seed=seed)
-            execution = TsoMachine(program, seed=seed).run()
-            aprog = _aprog_of(program, execution)
-            for window in (1, 2, 7, 64):
-                result = StreamingChecker(window=window).run(aprog)
-                assert result.ok, (seed, window, result.explain())
-
-    def test_small_window_actually_retires(self):
-        program, execution, _machine = golden_run(seed=24)
-        aprog = _aprog_of(program, execution)
-        result = StreamingChecker(window=16).run(aprog)
-        assert result.ok
-        assert result.stats.retired_nodes > 0
-        assert result.stats.live_peak < result.stats.nodes
-
-
-class TestWindowBoundaryDetection:
-    def _retired_epoch_case(self):
-        # P0's two stores to A are program-ordered (R2).  P1 observes the
-        # second store, then — after enough filler that the window has
-        # long retired both the first store and the early loads — the
-        # first one.  R6 then needs the edge S[A]#2 -> S[A]#1, closing a
-        # cycle whose other arc lies entirely in a retired epoch.
-        filler = " ; ".join("L[C]=0" for _ in range(40))
-        return parse_litmus(f"""
-            P0: S[A]#1 ; S[A]#2
-            P1: L[A]=2 ; {filler} ; L[A]=1
-        """)
-
-    def test_cycle_across_retired_epoch_detected_and_witnessed(self):
-        program, execution = self._retired_epoch_case()
-        aprog = _aprog_of(program, execution)
-        result = StreamingChecker(window=4).run(aprog)
-        assert not result.ok
-        assert result.violation.kind == ViolationKind.CYCLE
-        assert result.stats.retired_nodes > 0  # the epoch really retired
-        # The witness is complete despite retirement: a closed cycle with
-        # one reason per edge, renderable end to end.
-        cycle = result.violation.cycle
-        assert len(cycle) >= 2
-        assert len(result.violation.reasons) == len(cycle)
-        text = result.explain()
-        assert "S[A]#1" in text and "S[A]#2" in text
-
-    def test_agrees_with_vc_at_every_window(self):
-        program, execution = self._retired_epoch_case()
-        aprog = _aprog_of(program, execution)
-        vc = check(program, execution, engine="vc")
-        for window in (2, 4, 16, DEFAULT_WINDOW):
-            result = StreamingChecker(window=window).run(aprog)
-            assert result.ok == vc.ok
-            assert result.violation.kind == vc.violation.kind
+            StreamSession(rmo_like, [0], nprocs=1)
 
 
 class TestStreamSession:
@@ -171,12 +100,7 @@ class TestStreamSession:
             P0: S[A]#1 ; S[A]#2 ; S[B]#7
             P1: L[A]=2 ; L[A]=1 ; L[B]=7 ; L[B]=7
         """)
-        session = StreamingChecker().open_session(
-            addresses=sorted(program.addresses()),
-            initial=program.initial,
-            word_names=program.word_names,
-            nprocs=len(execution.records),
-        )
+        session = _session(program, len(execution.records))
         fed = []
         for pid, records in enumerate(execution.records):
             for rec in records:
@@ -194,14 +118,9 @@ class TestStreamSession:
 
     def test_session_verdict_matches_batch_on_golden_run(self):
         program, execution, _machine = golden_run(seed=25)
-        session = StreamingChecker(window=64).open_session(
-            addresses=sorted(program.addresses()),
-            initial=program.initial,
-            word_names=program.word_names,
-            nprocs=len(execution.records),
-        )
-        # Round-robin feed: a legal arrival order the batch path never
-        # exercises (it replays proc-major).
+        session = _session(program, len(execution.records))
+        # Round-robin feed: a legal arrival order that stream_check's
+        # proc-by-proc replay never exercises.
         cursors = [0] * len(execution.records)
         remaining = sum(len(r) for r in execution.records)
         pid = 0
@@ -213,15 +132,10 @@ class TestStreamSession:
             pid = (pid + 1) % len(execution.records)
         result = session.finish()
         assert result.ok, result.explain()
-        assert result.stats.retired_nodes > 0
 
     def test_unresolved_load_is_unmapped_at_finish(self):
         program, execution = parse_litmus("P0: S[A]#1 ; L[A]=1")
-        session = StreamingChecker().open_session(
-            addresses=sorted(program.addresses()),
-            initial=program.initial,
-            nprocs=1,
-        )
+        session = _session(program, 1)
         # Feed only the load: its store never arrives.
         assert session.feed(0, execution.records[0][1]) is None
         result = session.finish()
@@ -233,17 +147,11 @@ class TestStreamSession:
             P0: S[A]#1
             P1: L[A]=1
         """)
-        session = StreamingChecker().open_session(
-            addresses=sorted(program.addresses()),
-            initial=program.initial,
-            nprocs=1,
-        )
+        session = _session(program, 1)
         assert session.feed(0, execution.records[0][0]) is None
         with pytest.raises(ValueError, match="nprocs=1"):
             session.feed(1, execution.records[1][0])
-        empty = StreamingChecker().open_session(
-            addresses=sorted(program.addresses()), nprocs=0
-        )
+        empty = _session(program, 0)
         with pytest.raises(ValueError, match="nprocs=0"):
             empty.feed(0, execution.records[0][0])
 
@@ -253,11 +161,10 @@ class TestMachinePipelining:
         config = GeneratorConfig(nprocs=4, ops_per_proc=60, shared_words=4)
         program = generate_program(config, seed=26)
         machine = TsoMachine(program, seed=26)
-        result, execution = stream_check_machine(machine, window=32)
+        result, execution = stream_check_machine(machine)
         assert result.ok, result.explain()
         assert execution is not None
-        assert result.stats.retired_nodes > 0
-        assert result.stats.live_peak < result.stats.nodes
+        assert result.stats.live_peak == result.stats.nodes
         # The streamed trace is the machine's observed trace: a separate
         # identically-seeded batch run produces exactly the same records.
         batch = TsoMachine(program, seed=26).run()
@@ -284,7 +191,7 @@ class TestMachinePipelining:
 @functools.lru_cache(maxsize=1)
 def _cases():
     """The closure-equality cases, built once for all three models."""
-    return list(_random_runs()) + list(_runs())
+    return list(_random_runs()) + list(_run_pairs())
 
 
 def _random_runs():
@@ -303,8 +210,7 @@ def _random_runs():
         for config in sizes:
             program = generate_program(config, seed=seed)
             for kwargs in machines:
-                execution = TsoMachine(program, seed=seed, **kwargs).run()
-                yield _aprog_of(program, execution)
+                yield program, TsoMachine(program, seed=seed, **kwargs).run()
 
 
 def _closure(graph):
@@ -317,15 +223,19 @@ class TestSameClosureAsVc:
     @pytest.mark.parametrize("model", [TSO, PSO, SC], ids=lambda m: m.name)
     def test_same_verdict_and_closure(self, model):
         passed = failed = 0
-        for aprog in _cases():
+        for program, execution in _cases():
+            aprog = expand(
+                execution, initial=program.initial,
+                word_names=program.word_names,
+            )
             vc = VectorClockChecker(model).run(aprog)
-            stream = StreamingChecker(model, window=DEFAULT_WINDOW).run(aprog)
+            stream = stream_check(program, execution, model)
             assert stream.ok == vc.ok
             if not vc.ok:
-                assert stream.violation.kind == vc.violation.kind
+                if vc.violation.kind == ViolationKind.CYCLE:
+                    assert stream.violation.kind == ViolationKind.CYCLE
                 failed += 1
                 continue
-            assert stream.stats.retired_nodes == 0
             assert _closure(stream.graph) == _closure(vc.graph)
             passed += 1
         assert passed and failed

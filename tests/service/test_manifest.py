@@ -40,9 +40,10 @@ class TestValidation:
             small(engine="nope")
         # A retired engine is unknown too: a manifest naming it fails to
         # load for submission, with the engine named.
-        doc = dict(small().to_dict(), engine="closure")
-        with pytest.raises(ValueError, match="'closure'"):
-            CampaignManifest.from_json(json.dumps(doc))
+        for engine in ("closure", "stream"):
+            doc = dict(small().to_dict(), engine=engine)
+            with pytest.raises(ValueError, match=f"'{engine}'"):
+                CampaignManifest.from_json(json.dumps(doc))
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="model"):

@@ -113,7 +113,7 @@ class TestServiceStatusPayload:
         """A spooled manifest that no longer validates (here: a retired
         engine name) finishes with exit 2 and its error; the valid job
         queued behind it still runs, and status lists both."""
-        for engine in ("matrix", "closure"):
+        for engine in ("matrix", "closure", "stream"):
             root = tmp_path / engine
             service = CampaignService(
                 ServiceConfig(root=str(root), http_port=None, once=True)

@@ -11,6 +11,8 @@ from repro.sched.spec import SchedSpec
 from repro.sched.trace import ScheduleTrace
 from repro.service.manifest import CampaignManifest
 from repro.service.store import ResultStore, failure_digest, hunt_digest
+from repro.service import daemon
+from repro.service.daemon import CampaignService, ServiceConfig
 from repro.sim.cpus import cpu_by_name
 
 
@@ -410,3 +412,134 @@ class TestSummary:
         assert summary["shards"]["a"]["done"] is True
         assert summary["shards"]["b"]["done"] is False
         assert json.loads(json.dumps(summary)) == summary  # JSON-safe
+
+
+class _FakeStatusServer:
+    """A status endpoint that binds nothing (the address file is what
+    these tests look at)."""
+
+    address = ("127.0.0.1", 1)
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def start(self):
+        return self
+
+    def close(self):
+        pass
+
+
+class TestAtomicWrites:
+    """Every atomic rewrite goes through ``store.atomic_write``; when its
+    ``os.replace`` fails, the file it would replace is left as it was
+    and the root still loads."""
+
+    @pytest.fixture()
+    def fail_replace(self, monkeypatch):
+        """Arm ``os.replace`` to fail for one target path."""
+        real_replace = os.replace
+        targets = set()
+
+        def replace(src, dst):
+            if str(dst) in targets:
+                raise OSError(f"injected failure replacing {dst}")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        return lambda path: targets.add(str(path))
+
+    def _service(self, tmp_path, **kwargs):
+        kwargs.setdefault("http_port", None)
+        return CampaignService(ServiceConfig(root=str(tmp_path), **kwargs))
+
+    def test_spool_submit(self, tmp_path, fail_replace):
+        service = self._service(tmp_path)
+        first = service.submit(manifest(name="first"))
+        second = manifest(name="second")
+        fail_replace(service._spool_path(second.job_id))
+        with pytest.raises(OSError, match="injected"):
+            service.submit(second)
+        assert [job for job, _, _ in service.spooled()] == [first]
+        assert not os.path.exists(service._spool_path(second.job_id))
+
+    def test_result_json(self, tmp_path, fail_replace):
+        service = self._service(tmp_path)
+        service._fail_job("job-1", "first reason")
+        path = service.result_path("job-1")
+        before = open(path).read()
+        fail_replace(path)
+        with pytest.raises(OSError, match="injected"):
+            service._fail_job("job-1", "second reason")
+        assert open(path).read() == before
+        assert json.loads(before)["error"] == "first reason"
+        assert service.job_done("job-1")
+
+    def test_status_address(self, tmp_path, fail_replace, monkeypatch):
+        monkeypatch.setattr(daemon, "StatusServer", _FakeStatusServer)
+        service = self._service(tmp_path, http_port=0, once=True)
+        with open(service.address_path, "w") as fh:
+            fh.write("old-host 9\n")
+        fail_replace(service.address_path)
+        with pytest.raises(OSError, match="injected"):
+            service.serve()
+        assert open(service.address_path).read() == "old-host 9\n"
+        assert service.spooled() == []
+
+    def test_store_manifest(self, tmp_path, fail_replace):
+        store = ResultStore(str(tmp_path))
+        store.save_manifest(manifest(name="first"))
+        fail_replace(store.manifest_path)
+        with pytest.raises(OSError, match="injected"):
+            store.save_manifest(manifest(name="second"))
+        assert store.load_manifest().name == "first"
+        store.close()
+        assert ResultStore(str(tmp_path)).load_manifest().name == "first"
+
+    def test_compaction(self, tmp_path, fail_replace):
+        store = ResultStore(str(tmp_path))
+        store.record_hunt("shard-a", 0, make_hunt(0))
+        store.record_hunt("shard-a", 1, make_hunt(1, detected=False))
+        store.append_lease("shard-a", "claim", "h1-1", time=1.0, expires=9.0)
+        store.mark_shard_done("shard-a")
+        digests = store.hunt_digests()
+        path = store._shard_path("shard-a")
+        before = open(path).read()
+        fail_replace(path)
+        with pytest.raises(OSError, match="injected"):
+            store.compact_shard("shard-a")
+        store.close()
+        assert open(path).read() == before
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fresh = ResultStore(str(tmp_path))
+        assert fresh.hunt_digests() == digests
+        assert fresh.shard_done("shard-a")
+
+    def test_every_writer_fsyncs_before_replacing(self, tmp_path, monkeypatch):
+        real_fsync = os.fsync
+        synced = []
+
+        def fsync(fd):
+            synced.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(daemon, "StatusServer", _FakeStatusServer)
+        service = self._service(tmp_path / "svc")
+        server = self._service(tmp_path / "served", http_port=0, once=True)
+        store = ResultStore(str(tmp_path / "store"))
+        store.record_hunt("shard-a", 0, make_hunt(0))
+        store.mark_shard_done("shard-a")
+        writers = [
+            lambda: service.submit(manifest()),
+            lambda: service._fail_job("job-1", "reason"),
+            server.serve,  # writes status.address, drains an empty spool
+            lambda: store.save_manifest(manifest()),
+            lambda: store.compact_shard("shard-a"),
+        ]
+        for write in writers:
+            before = len(synced)
+            write()
+            assert len(synced) == before + 1
+        store.close()

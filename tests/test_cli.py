@@ -60,11 +60,14 @@ class TestRunAndCheck:
         assert main(["check", str(trace), "--engine", "baseline"]) == 0
 
     def test_check_rejects_retired_closure_engine(self, tmp_path, capsys):
+        # Both retired engine names: the per-pass bitset engine and the
+        # stream batch engine (the online checker only runs pipelined).
         trace = tmp_path / "run.trace"
-        with pytest.raises(SystemExit) as excinfo:
-            main(["check", str(trace), "--engine", "closure"])
-        assert excinfo.value.code == 2
-        assert "invalid choice: 'closure'" in capsys.readouterr().err
+        for engine in ("closure", "stream"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["check", str(trace), "--engine", engine])
+            assert excinfo.value.code == 2
+            assert f"invalid choice: '{engine}'" in capsys.readouterr().err
 
 
 class TestLitmus:

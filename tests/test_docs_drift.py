@@ -4,7 +4,8 @@ Two tables drift whenever an engine or a checker counter is added or
 retired: the engine table in ``docs/engines.md`` must list exactly the
 registered engines, and ``docs/telemetry.md`` must name every ``check.*``
 metric that :func:`repro.telemetry.record_check` emits and every
-``sim.*``, ``pool.*`` and ``service.*`` metric name the code spells out.
+``sim.*``, ``pool.*`` and ``service.*`` metric name the code passes to a
+telemetry call.
 """
 
 import dataclasses
@@ -34,10 +35,16 @@ def _documented_metrics():
 
 
 def _layer_metric_literals():
-    """Every ``"sim.*"``, ``"pool.*"`` and ``"service.*"`` string literal
-    under ``src/repro/`` — the counters, histograms, timers and spans
-    those layers emit by name."""
-    pattern = re.compile(r'"((?:sim|pool|service)\.[a-z_.]+)"')
+    """Every ``"sim.*"``, ``"pool.*"`` and ``"service.*"`` literal under
+    ``src/repro/`` passed as the name of a telemetry call (``count``,
+    ``observe``, ``record``, ``span``, ``event``) — the counters,
+    histograms, timers and spans those layers emit by name.  Other
+    strings with those prefixes, such as a ``"sim.machine"`` module
+    path, are not metric names."""
+    pattern = re.compile(
+        r'\.(?:count|observe|record|span|event)\(\s*'
+        r'"((?:sim|pool|service)\.[a-z_.]+)"'
+    )
     names = set()
     for path in SRC.rglob("*.py"):
         names.update(pattern.findall(path.read_text()))

@@ -5,11 +5,12 @@ The three load-bearing properties of the whole system:
 1. **End-to-end soundness** — the checker never flags an execution the
    golden TSO machine produced ("we presume the machine innocent,
    unless proved guilty": no false positives, Sec. 1).
-2. **Engine agreement** — all three checker engines (the literal
-   Fig. 2 baseline, the incremental vector-clock engine and the
-   streaming engine at its default no-retirement window) return the same verdict — and, on failures, the same
-   violation kind — on everything, including adversarially corrupted
-   and fault-injected runs.  Every cycle witness must additionally be
+2. **Engine agreement** — both checker engines (the literal Fig. 2
+   baseline and the incremental vector-clock engine) return the same
+   verdict — and, on failures, the same violation kind — on everything,
+   including adversarially corrupted and fault-injected runs; so does
+   the pipeline's online checker, whose kind is compared when vc
+   reports a cycle.  Every cycle witness must additionally be
    *valid*: a closed walk of explicit, reasoned edges in the engine's
    own final graph (the engines may close different — equally real —
    cycles).
@@ -27,6 +28,7 @@ from repro.core.api import ENGINES, check, check_execution
 from repro.core.checker import BaselineChecker
 from repro.core.complete import complete_check
 from repro.core.policy import PSO, SC, TSO
+from repro.core.result import ViolationKind
 from repro.core.vc import VectorClockChecker
 from repro.generator.config import GeneratorConfig, InstructionMix
 from repro.generator.generator import generate_program
@@ -38,7 +40,7 @@ from repro.sim.faults import (
     TraceCorruptionFault,
 )
 from repro.sim.machine import MachineConfig, TsoMachine
-from tests.util import PLAIN_MIX
+from tests.util import PLAIN_MIX, stream_check
 
 FAST = settings(
     max_examples=25,
@@ -167,13 +169,25 @@ def _assert_valid_cycle_witness(result):
 def _assert_engines_agree(program, trace):
     """Every engine returns the same verdict and violation kind, and
     every cycle it reports is backed by explicit edges in its own final
-    graph (the cycles themselves may differ; see the module docstring)."""
+    graph (the cycles themselves may differ; see the module docstring).
+
+    A pipeline session fed the run (``tests.util.stream_check``) must
+    give the same verdict, and a cycle whenever vc reports one.  Where
+    vc reports a precheck failure, the session may report a cycle
+    instead: it stops at the closing record, before its end-of-stream
+    prechecks run.
+    """
     results = {
         engine: check(program, trace, engine=engine)
         for engine in sorted(ENGINES)
     }
     verdicts = {engine: _verdict(result) for engine, result in results.items()}
     assert len(set(verdicts.values())) == 1, verdicts
+    stream = results["stream"] = stream_check(program, trace)
+    ok, kind = verdicts["vc"]
+    assert stream.ok == ok
+    if kind == ViolationKind.CYCLE:
+        assert stream.violation.kind == kind
     for result in results.values():
         if not result.ok and result.violation.cycle:
             _assert_valid_cycle_witness(result)

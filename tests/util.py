@@ -6,9 +6,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.api import check
 from repro.core.policy import MemoryModel, TSO
+from repro.core.result import CheckResult
+from repro.core.stream import StreamSession
 from repro.generator.config import GeneratorConfig, InstructionMix
 from repro.generator.generator import generate_program
 from repro.model.expansion import AnalysisProgram, expand
+from repro.model.ops import WORD_SIZE
 from repro.model.program import Program, parse_litmus
 from repro.model.trace import Execution
 from repro.sim.machine import MachineConfig, TsoMachine
@@ -54,6 +57,45 @@ def litmus_aprog(text: str) -> AnalysisProgram:
     """Parse litmus text and expand it to an analysis program."""
     program, execution = parse_litmus(text)
     return expand(execution, initial=program.initial, word_names=program.word_names)
+
+
+def stream_check(
+    program: Program, execution: Execution, model: MemoryModel = TSO
+) -> CheckResult:
+    """Check a finished run through a pipeline :class:`StreamSession`,
+    fed each processor's records in order: all of P0's, then P1's, ...
+
+    The session declares the words :func:`expand` roots (the initial
+    values' and every word a record touches), so op ids, edge lists and
+    witnesses line up with a batch expansion of the same run.
+    """
+    words = set(program.initial)
+    for records in execution.records:
+        for rec in records:
+            addr = getattr(rec.instr, "addr", None)
+            if addr is not None:
+                words.update(
+                    addr + w * WORD_SIZE for w in range(rec.instr.words())
+                )
+    session = StreamSession(
+        model, sorted(words), initial=program.initial,
+        word_names=program.word_names, nprocs=len(execution.records),
+    )
+    for pid, records in enumerate(execution.records):
+        for rec in records:
+            session.feed(pid, rec)
+    return session.finish()
+
+
+def check_on(
+    engine: str, program: Program, execution: Execution,
+    model: MemoryModel = TSO,
+) -> CheckResult:
+    """:func:`check` on a registered engine, or :func:`stream_check`
+    for ``"stream"``."""
+    if engine == "stream":
+        return stream_check(program, execution, model)
+    return check(program, execution, model=model, engine=engine)
 
 
 def describe_map(aprog: AnalysisProgram) -> Dict[str, int]:
