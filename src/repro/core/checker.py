@@ -30,6 +30,14 @@ from repro import telemetry
 from repro.core.graph import ConstraintGraph, CycleDetected
 from repro.core.policy import MemoryModel, TSO, static_edges
 from repro.core.prep import prepare
+from repro.core.reasons import (
+    R4,
+    R5,
+    R6_DESCRIBED,
+    R7_DESCRIBED,
+    STATIC_CODES,
+    r6_reason,  # noqa: F401 - re-exported
+)
 from repro.core.result import (
     CheckResult,
     CheckStats,
@@ -39,8 +47,10 @@ from repro.core.result import (
 )
 from repro.model.expansion import AnalysisProgram, OpKind
 
-#: One R4/R5 edge: (src, dst, reason, rule).
-ObservedEdge = Tuple[int, int, EdgeReason, str]
+#: One R4/R5 edge: ``(src, dst, code, load, store, s_prime)``, the
+#: :mod:`repro.core.reasons` code and node ids its reason is logged with
+#: (``s_prime`` is -1 when the load has none).
+ObservedEdge = Tuple[int, int, int, int, int, int]
 
 
 def precheck_violation(aprog: AnalysisProgram) -> Optional[Violation]:
@@ -75,7 +85,7 @@ def po_prev_stores(aprog: AnalysisProgram) -> Dict[int, int]:
 def observed_edges(
     aprog: AnalysisProgram,
 ) -> Iterable[ObservedEdge]:
-    """Yield the R4/R5 edges ``(src, dst, reason, rule)`` for all loads."""
+    """Yield the R4/R5 edges of all loads (see :data:`ObservedEdge`)."""
     prev_store = po_prev_stores(aprog)
     for op in aprog.ops:
         if not op.is_load:
@@ -86,92 +96,21 @@ def observed_edges(
         yield from load_edges(aprog, op.id, store, prev_store.get(op.id))
 
 
-def _r4_text(aprog: AnalysisProgram, load: int, store: int) -> str:
-    return (
-        f"{aprog.describe(load)} observed the value of "
-        f"{aprog.describe(store)}, which is not an earlier store of "
-        "the same processor, so the store must be globally visible "
-        "before the load binds (Value axiom)"
-    )
-
-
-def _r5_text(
-    aprog: AnalysisProgram, load: int, store: int, s_prime: int
-) -> str:
-    return (
-        f"{aprog.describe(load)} observed {aprog.describe(store)} "
-        f"despite the program-order-earlier {aprog.describe(s_prime)}; "
-        "by the Value axiom that earlier store must be globally "
-        "ordered before the observed one"
-    )
-
-
 def load_edges(
     aprog: AnalysisProgram, load: int, store: int, s_prime: Optional[int]
 ) -> List[ObservedEdge]:
     """The R4/R5 edges of one load that observed ``store``, where
-    ``s_prime`` is its last program-order-earlier same-address store.
-    Their reasons are deferred (:meth:`EdgeReason.deferred`)."""
+    ``s_prime`` is its last program-order-earlier same-address store."""
     op = aprog.ops[load]
     s_op = aprog.ops[store]
+    if s_prime is None:
+        s_prime = -1
     out: List[ObservedEdge] = []
     if not (s_op.proc == op.proc and not s_op.is_root and s_op.po < op.po):
-        out.append((store, load, EdgeReason.deferred(
-            "R4", _r4_text, aprog, load, store
-        ), "R4"))
-    if s_prime is not None and s_prime != store:
-        out.append((s_prime, store, EdgeReason.deferred(
-            "R5", _r5_text, aprog, load, store, s_prime
-        ), "R5"))
+        out.append((store, load, R4, load, store, s_prime))
+    if s_prime != -1 and s_prime != store:
+        out.append((s_prime, store, R5, load, store, s_prime))
     return out
-
-
-#: One shared reason per static rule (R1–R3, ``atomic``, ``init``).
-STATIC_REASONS = {
-    rule: EdgeReason(rule, "program order")
-    for rule in ("R1", "R2", "R3", "atomic", "init")
-}
-
-# One renderer per rule, shared by every reason: a bound ``str.format``
-# per edge would cost an object each.
-_r6_text = (
-    "store n{} precedes load n{}, which observed store n{} (Value axiom)"
-).format
-_r7_text = (
-    "load n{} observed store n{}, which precedes store n{} (Value axiom)"
-).format
-
-
-def r6_reason(s_prime: int, load: int, target: int) -> EdgeReason:
-    """Why R6 orders ``s_prime`` before ``target`` (vc/stream)."""
-    return EdgeReason.deferred("R6", _r6_text, s_prime, load, target)
-
-
-def r7_reason(load: int, store: int, s_prime: int) -> EdgeReason:
-    """Why R7 orders ``load`` before ``s_prime`` (vc/stream)."""
-    return EdgeReason.deferred("R7", _r7_text, load, store, s_prime)
-
-
-def _r6_described(
-    aprog: AnalysisProgram, s_prime: int, load: int, target: int
-) -> str:
-    return (
-        f"{aprog.describe(s_prime)} precedes {aprog.describe(load)} "
-        f"in the global order, and the load observed "
-        f"{aprog.describe(target)}; by the Value axiom the preceding "
-        "store must come before the observed one"
-    )
-
-
-def _r7_described(
-    aprog: AnalysisProgram, load: int, store: int, s_prime: int
-) -> str:
-    return (
-        f"{aprog.describe(load)} observed {aprog.describe(store)} "
-        f"which precedes {aprog.describe(s_prime)}; had the load "
-        "bound after the later store it could not have observed "
-        "the earlier one (Value axiom)"
-    )
 
 
 def cycle_violation(
@@ -227,10 +166,10 @@ class BaselineChecker:
         self._graph = graph
         try:
             for u, v, rule in static_edges(aprog, self.model):
-                if graph.add_edge(u, v, STATIC_REASONS[rule]):
+                if graph.add_edge(u, v, STATIC_CODES[rule]):
                     stats.static_edges += 1
-            for u, v, reason, _rule in observed_edges(aprog):
-                if graph.add_edge(u, v, reason):
+            for u, v, code, load, store, s_prime in observed_edges(aprog):
+                if graph.add_edge(u, v, code, load, store, s_prime):
                     stats.observed_edges += 1
             violation = self._fixed_point(aprog, graph, stats)
         except CycleDetected as exc:
@@ -297,10 +236,9 @@ class BaselineChecker:
             node = aprog.ops[s_prime]
             if not node.is_store or node.addr != addr or s_prime == target:
                 continue
-            reason = EdgeReason.deferred(
-                "R6", _r6_described, aprog, s_prime, load, target
-            )
-            if graph.add_edge(s_prime, target, reason):
+            if graph.add_edge(
+                s_prime, target, R6_DESCRIBED, s_prime, load, target
+            ):
                 stats.inferred_edges += 1
                 changed = True
         return changed
@@ -320,10 +258,9 @@ class BaselineChecker:
             if not node.is_store or node.addr != addr or s_prime == store:
                 continue
             for load, _load_last in observers:
-                reason = EdgeReason.deferred(
-                    "R7", _r7_described, aprog, load, store, s_prime
-                )
-                if graph.add_edge(load, s_prime, reason):
+                if graph.add_edge(
+                    load, s_prime, R7_DESCRIBED, load, store, s_prime
+                ):
                     stats.inferred_edges += 1
                     changed = True
         return changed

@@ -11,16 +11,28 @@ outgoing edges from any node in the set similarly leave from its last
 node."  :meth:`ConstraintGraph.add_edge` performs that redirection, except
 for edges internal to a single group (the ``L <= S`` chain of a swap).
 
-Every explicit edge carries an :class:`~repro.core.result.EdgeReason` so
-failures can be explained edge by edge (Sec. 3.4).
+The adjacency lists are the graph's one edge index: :meth:`has_edge`
+tests the shorter of ``succ[u]`` and ``pred[v]``.  Every explicit edge
+also carries a reason (Sec. 3.4), but only a witness or a graph dump
+reads one, so an edge is appended to one insertion-ordered columnar log
+(``array('i')`` columns for its endpoints and up to three node ids, and
+a small :mod:`repro.core.reasons` code) and its
+:class:`~repro.core.result.EdgeReason` is built when it is read, by
+:meth:`ConstraintGraph.edge_reasons`.  ``graph.reasons`` is a read-only
+mapping over that log.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from array import array
+from collections.abc import ItemsView, Mapping, ValuesView
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
+from repro.core.reasons import GIVEN, NODE_IDS, decode
 from repro.core.result import EdgeReason
 from repro.model.expansion import AnalysisProgram
+
+Edge = Tuple[int, int]
 
 
 class CycleDetected(Exception):
@@ -37,7 +49,8 @@ class CycleDetected(Exception):
 
 
 class ConstraintGraph:
-    """Adjacency-list constraint graph with atomic-group redirection."""
+    """Adjacency-list constraint graph with atomic-group redirection and
+    a columnar log of its edges."""
 
     def __init__(self, aprog: AnalysisProgram) -> None:
         self.aprog = aprog
@@ -52,10 +65,16 @@ class ConstraintGraph:
         self._group: List[int] = []
         self._red_src: List[int] = []
         self._red_dst: List[int] = []
-        # The one edge index: keyed by the redirected (u, v), it is what
-        # has_edge tests and the add methods insert into.
-        self.reasons: Dict[Tuple[int, int], EdgeReason] = {}
-        self.edge_count = 0
+        # The edge log, one entry per edge in insertion order: its
+        # endpoints and reason code, and in _log_ids the NODE_IDS[code]
+        # node ids its reason reads (a scan of the log finds each
+        # edge's ids by counting).  A GIVEN reason is kept in _given
+        # under its index.
+        self._log_u = array("i")
+        self._log_v = array("i")
+        self._log_code = array("b")
+        self._log_ids = array("i")
+        self._given: Dict[int, EdgeReason] = {}
         self.grow()
 
     def grow(self) -> None:
@@ -95,6 +114,17 @@ class ConstraintGraph:
                 red_dst[member] = first
         self.n = n
 
+    @property
+    def edge_count(self) -> int:
+        """Explicit edges in the graph."""
+        return len(self._log_code)
+
+    @property
+    def reasons(self) -> "EdgeReasons":
+        """Read-only ``(u, v) -> reason`` mapping over the edge log, in
+        insertion order."""
+        return EdgeReasons(self)
+
     def redirect(self, u: int, v: int) -> Tuple[int, int]:
         """Apply atomic-group redirection to a prospective edge ``u -> v``.
 
@@ -109,10 +139,18 @@ class ConstraintGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         """True if the explicit (non-transitive) edge ``u -> v`` exists."""
-        return (u, v) in self.reasons
+        out = self.succ[u]
+        into = self.pred[v]
+        return v in out if len(out) <= len(into) else u in into
 
-    def add_edge(self, u: int, v: int, reason: EdgeReason) -> bool:
+    def add_edge(
+        self, u: int, v: int, reason: Union[int, EdgeReason],
+        a: int = -1, b: int = -1, c: int = -1,
+    ) -> bool:
         """Add ``u -> v`` (after redirection); return True if it is new.
+
+        ``reason`` is a :mod:`repro.core.reasons` code with its node ids
+        ``a, b, c``, or any :class:`EdgeReason`, which is kept as given.
 
         Raises:
             CycleDetected: if the redirected edge is a self-loop, which is
@@ -126,22 +164,61 @@ class ConstraintGraph:
             v = self._red_dst[v]
         if u == v:
             raise CycleDetected(u, v)
-        return self.add_redirected(u, v, reason)
-
-    def add_redirected(self, u: int, v: int, reason: EdgeReason) -> bool:
-        """:meth:`add_edge` for endpoints already redirected by the
-        caller — the incremental engines redirect once up front and
-        insert millions of edges, so the second redirection is pure
-        overhead on their hot path."""
-        reasons = self.reasons
-        key = (u, v)
-        if key in reasons:
+        # has_edge(), inlined for the same reason.
+        out = self.succ[u]
+        into = self.pred[v]
+        if v in out if len(out) <= len(into) else u in into:
             return False
-        reasons[key] = reason
+        self.append(u, v, reason, a, b, c)
+        return True
+
+    def append(
+        self, u: int, v: int, reason: Union[int, EdgeReason],
+        a: int = -1, b: int = -1, c: int = -1,
+    ) -> None:
+        """Log the redirected edge ``u -> v``, which the caller knows is
+        new (the incremental engines test :meth:`has_edge` first)."""
+        if reason.__class__ is not int:
+            self._given[len(self._log_code)] = reason
+            reason = GIVEN
+        self._log_u.append(u)
+        self._log_v.append(v)
+        self._log_code.append(reason)
+        count = NODE_IDS[reason]
+        if count:
+            ids = self._log_ids
+            ids.append(a)
+            ids.append(b)
+            if count == 3:
+                ids.append(c)
         self.succ[u].append(v)
         self.pred[v].append(u)
-        self.edge_count += 1
-        return True
+
+    def edge_reasons(
+        self, keep: Optional[Callable[[Edge], bool]] = None
+    ) -> Iterator[Tuple[Edge, EdgeReason]]:
+        """``((u, v), reason)`` for every logged edge in insertion order,
+        or for the edges ``keep`` accepts, in one scan of the log.
+
+        Every reader of reasons goes through here, and a reason is built
+        only for an edge this yields: a witness asks for its cycle's
+        edges in one scan rather than one lookup per edge.
+        """
+        aprog = self.aprog
+        codes = self._log_code
+        ids = self._log_ids
+        given = self._given
+        end = 0
+        for i, edge in enumerate(zip(self._log_u, self._log_v)):
+            code = codes[i]
+            start = end
+            end += NODE_IDS[code]
+            if keep is not None and not keep(edge):
+                continue
+            if code == GIVEN:
+                yield edge, given[i]
+            else:
+                yield edge, decode(aprog, code, *ids[start:end])
 
     def reason_of(self, u: int, v: int) -> EdgeReason:
         """The reason recorded for explicit edge ``u -> v``."""
@@ -223,11 +300,64 @@ class ConstraintGraph:
 
     def cycle_reasons(self, cycle: List[int]) -> List[EdgeReason]:
         """Per-edge reasons around a cycle (``cycle[i] -> cycle[i+1]``)."""
-        out = []
-        for i, node in enumerate(cycle):
-            nxt = cycle[(i + 1) % len(cycle)]
-            out.append(self.reasons.get((node, nxt), EdgeReason("?", "edge of cycle")))
-        return out
+        edges = [
+            (node, cycle[(i + 1) % len(cycle)]) for i, node in enumerate(cycle)
+        ]
+        found = dict(self.edge_reasons(set(edges).__contains__))
+        missing = EdgeReason("?", "edge of cycle")
+        return [found.get(edge, missing) for edge in edges]
+
+
+class EdgeReasons(Mapping):
+    """``graph.reasons``: a read-only ``(u, v) -> reason`` mapping over a
+    graph's edge log, in insertion order.
+
+    Membership is :meth:`ConstraintGraph.has_edge`; ``items()`` and
+    ``values()`` are one scan of the log, and ``[]`` is one scan per
+    lookup (copy a large graph with ``dict(reasons.items())``, not
+    ``dict(reasons)``).  Reasons are built on read.
+    """
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: ConstraintGraph) -> None:
+        self._graph = graph
+
+    def __len__(self) -> int:
+        return self._graph.edge_count
+
+    def __iter__(self) -> Iterator[Edge]:
+        graph = self._graph
+        return zip(graph._log_u, graph._log_v)
+
+    def __contains__(self, edge: object) -> bool:
+        try:
+            u, v = edge  # type: ignore[misc]
+            return self._graph.has_edge(u, v)
+        except (TypeError, ValueError, IndexError):
+            return False
+
+    def __getitem__(self, edge: Edge) -> EdgeReason:
+        if edge in self:
+            for _, reason in self._graph.edge_reasons({edge}.__contains__):
+                return reason
+        raise KeyError(edge)
+
+    def items(self) -> ItemsView:
+        return _LogItems(self)
+
+    def values(self) -> ValuesView:
+        return _LogValues(self)
+
+
+class _LogItems(ItemsView):
+    def __iter__(self):
+        return self._mapping._graph.edge_reasons()
+
+
+class _LogValues(ValuesView):
+    def __iter__(self):
+        return (reason for _, reason in self._mapping._graph.edge_reasons())
 
 
 def topological_order(graph: ConstraintGraph) -> Optional[List[int]]:

@@ -24,7 +24,7 @@ text form).
 from __future__ import annotations
 
 import html
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.core.result import CheckResult, EdgeReason, ViolationKind
 
@@ -141,16 +141,15 @@ def render_html(result: CheckResult, title: str = "TSOtool analysis") -> str:
     # graph"): explicit edges touching a cycle node, or everything on a
     # pass (small graphs only, to keep the page readable).
     if result.graph is not None:
-        reasons: Dict[Tuple[int, int], EdgeReason] = result.graph.reasons
+        graph = result.graph
         if cycle_set:
-            region = {
-                edge: reason for edge, reason in reasons.items()
-                if (edge[0] in cycle_set or edge[1] in cycle_set)
+            region = dict(graph.edge_reasons(
+                lambda edge: (edge[0] in cycle_set or edge[1] in cycle_set)
                 and edge not in cycle_edges
-            }
+            ))
             header = "other edges touching the cycle"
         elif aprog.n <= 64:
-            region = dict(reasons)
+            region = dict(graph.edge_reasons())
             header = "all inferred edges"
         else:
             region, header = {}, ""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.model.expansion import AnalysisProgram
 
@@ -388,7 +388,7 @@ class CheckResult:
         ]
         for op in self.aprog.ops:
             lines.append(f"node {op.id:<6d} {self.aprog.describe(op.id)}")
-        for (u, v), reason in sorted(self.graph.reasons.items()):
+        for (u, v), reason in sorted(self.graph.edge_reasons()):
             lines.append(f"edge {u} -> {v}  [{reason.render()}]")
         if self.violation is not None and self.violation.cycle:
             lines.append(
@@ -398,14 +398,15 @@ class CheckResult:
 
     def to_dot(
         self,
-        edges: Optional[Dict[Tuple[int, int], EdgeReason]] = None,
+        edges: Optional[Mapping[Tuple[int, int], EdgeReason]] = None,
         focus_only: bool = True,
     ) -> str:
         """Emit Graphviz DOT of the analysis graph region around the failure.
 
         Args:
-            edges: the explicit edge map from the checker engine; when
-                omitted, only the violation cycle is drawn.
+            edges: explicit edges and their reasons, such as
+                ``graph.reasons`` (read in one scan); when omitted, only
+                the violation cycle is drawn.
             focus_only: when a cycle exists, restrict to nodes within the
                 cycle plus their direct neighbours (the paper's "relevant
                 area in the analysis graph").
@@ -422,7 +423,7 @@ class CheckResult:
 
         draw_edges: Dict[Tuple[int, int], EdgeReason] = {}
         if edges:
-            draw_edges.update(edges)
+            draw_edges.update(edges.items())
         if self.violation:
             seq = self.violation.cycle
             for i in range(len(seq)):

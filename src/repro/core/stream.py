@@ -38,16 +38,11 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import telemetry
-from repro.core.checker import (
-    STATIC_REASONS,
-    cycle_violation,
-    load_edges,
-    precheck_violation,
-    r7_reason,
-)
+from repro.core.checker import cycle_violation, load_edges, precheck_violation
 from repro.core.graph import ConstraintGraph, CycleDetected
 from repro.core.policy import MemoryModel, ProgramOrder, TSO
 from repro.core.prep import Chains, chain_key
+from repro.core.reasons import R7, STATIC_CODES
 from repro.core.result import CheckResult, CheckStats, Violation
 from repro.core.vc import FrontierCore
 from repro.model.expansion import NO_GROUP, AnalysisProgram, OpKind, StreamExpander
@@ -164,7 +159,7 @@ class _StreamState(FrontierCore):
             static.append((aprog.roots[op.addr], op_id, "init"))
             self._note_new_store(op_id, op.addr)
         for u, v, rule in static:
-            if self._add_edge(u, v, STATIC_REASONS[rule]):
+            if self._add_edge(u, v, STATIC_CODES[rule]):
                 self._stats.static_edges += 1
 
     def _note_new_store(self, store: int, addr: int) -> None:
@@ -186,7 +181,7 @@ class _StreamState(FrontierCore):
             if vec_from[item][col] < _INF:
                 for load, load_last in self._r7_items[item][1]:
                     if vec_from[load_last][col] > pos and self._add_edge(
-                        load, store, r7_reason(load, item, store)
+                        load, store, R7, load, item, store
                     ):
                         self._stats.inferred_edges += 1
 
@@ -216,8 +211,8 @@ class _StreamState(FrontierCore):
         """A load's observed store is known: R4/R5 edges, R6/R7 items."""
         aprog = self.aprog
         s_prime = self._r5_prev.pop(load, None)
-        for u, v, reason, _rule in load_edges(aprog, load, target, s_prime):
-            if self._add_edge(u, v, reason):
+        for u, v, code, a, b, c in load_edges(aprog, load, target, s_prime):
+            if self._add_edge(u, v, code, a, b, c):
                 self._stats.observed_edges += 1
         addr = aprog.ops[load].addr
         floor = self._vec_to[aprog.group_first(target)]

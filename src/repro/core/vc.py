@@ -69,12 +69,12 @@ pass, as the baseline's traversals do) pays for repeatedly:
   every later candidate too (the chain is a path, and an observer that
   reaches a candidate cannot be a later one without a cycle), and
   reach only grows — the rest of that chain would propose nothing.
-* **Reasons are rendered lazily.**  Every R4–R7 edge carries an
-  :class:`~repro.core.result.EdgeReason` built with
-  :meth:`~repro.core.result.EdgeReason.deferred`: its text is formatted
-  the first time ``detail`` is read, which only a Sec. 3.4 witness or a
-  graph dump does.  A paper-scale check builds ~22k of them and
-  renders none when it passes.
+* **Reasons are logged, not built.**  An insertion hands the graph a
+  :mod:`repro.core.reasons` code and the node ids its reason reads,
+  which the graph's columnar edge log stores; an
+  :class:`~repro.core.result.EdgeReason` is built, and its text
+  formatted, only when a Sec. 3.4 witness or a graph dump reads it.  A
+  passing paper-scale check logs ~44k edges and builds no reason.
 * **No garbage-collector passes.**  :meth:`VectorClockChecker.run`
   pauses Python's cyclic collector for the check and restores the
   caller's state afterwards.  A check builds no reference cycles
@@ -100,21 +100,15 @@ from __future__ import annotations
 import gc
 import time
 from bisect import bisect_left, bisect_right
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import telemetry
-from repro.core.checker import (
-    STATIC_REASONS,
-    cycle_violation,
-    observed_edges,
-    precheck_violation,
-    r6_reason,
-    r7_reason,
-)
+from repro.core.checker import cycle_violation, observed_edges, precheck_violation
 from repro.core.graph import ConstraintGraph, CycleDetected, topological_order
 from repro.core.kernels import build_frontiers_scalar
 from repro.core.policy import MemoryModel, TSO, static_edges
 from repro.core.prep import Chains, EnginePrep, prepare
+from repro.core.reasons import R6, R7, STATIC_CODES
 from repro.core.result import CheckResult, CheckStats, EdgeReason, Violation
 from repro.model.expansion import AnalysisProgram
 
@@ -133,8 +127,13 @@ class FrontierCore:
     nodes in stream), ``_seq`` and ``_inf`` (the "unreached" entry).
     """
 
-    def _add_edge(self, u: int, v: int, reason: EdgeReason) -> bool:
-        """Insert ``u -> v``; keep order + frontiers current.
+    def _add_edge(
+        self, u: int, v: int, reason: Union[int, EdgeReason],
+        a: int = -1, b: int = -1, c: int = -1,
+    ) -> bool:
+        """Insert ``u -> v``; keep order + frontiers current.  ``reason``
+        and ``a, b, c`` are logged as :meth:`ConstraintGraph.add_edge`
+        takes them.
 
         Raises:
             CycleDetected: the redirected edge closes a cycle (found by
@@ -149,14 +148,17 @@ class FrontierCore:
         # Order-compatible edges (the overwhelming majority) skip the
         # Pearce–Kelly call; _reorder repeats this guard for direct callers.
         if self._ord[u] >= self._ord[v]:
-            self._reorder(u, v, reason)
-        graph.add_redirected(u, v, reason)
+            self._reorder(u, v, reason, a, b, c)
+        graph.append(u, v, reason, a, b, c)
         self._seq += 1
         self._push_forward(u, v)
         self._push_backward(u, v)
         return True
 
-    def _reorder(self, u: int, v: int, reason: EdgeReason) -> None:
+    def _reorder(
+        self, u: int, v: int, reason: Union[int, EdgeReason],
+        a: int = -1, b: int = -1, c: int = -1,
+    ) -> None:
         """Pearce–Kelly local reordering for the insertion of ``u -> v``.
 
         When ``u`` already precedes ``v`` in the maintained order the
@@ -182,7 +184,7 @@ class FrontierCore:
                 if child == u:
                     # Path v ~> u exists: u -> v closes a cycle.  Record
                     # the edge so cycle_reasons can name its rule.
-                    graph.add_redirected(u, v, reason)
+                    graph.append(u, v, reason, a, b, c)
                     raise CycleDetected(u, v)
                 if child not in forward and ord_[child] <= upper:
                     forward.add(child)
@@ -297,7 +299,7 @@ class FrontierCore:
         """R6 edges ``s' -> target``; returns how many were new."""
         added = 0
         for s_prime in candidates:
-            if self._add_edge(s_prime, target, r6_reason(s_prime, load, target)):
+            if self._add_edge(s_prime, target, R6, s_prime, load, target):
                 added += 1
         return added
 
@@ -343,7 +345,7 @@ class FrontierCore:
                     if vec_from[load_last][col] <= pos and load_last != s_prime:
                         continue
                     implied = False
-                    if add_edge(load, s_prime, r7_reason(load, store, s_prime)):
+                    if add_edge(load, s_prime, R7, load, store, s_prime):
                         added += 1
                 if implied:
                     # Every observer reaches this candidate, hence every
@@ -432,10 +434,10 @@ class VectorClockChecker(FrontierCore):
 
         try:
             for u, v, rule in static_edges(aprog, self.model):
-                if graph.add_edge(u, v, STATIC_REASONS[rule]):
+                if graph.add_edge(u, v, STATIC_CODES[rule]):
                     stats.static_edges += 1
-            for u, v, reason, _rule in observed_edges(aprog):
-                if graph.add_edge(u, v, reason):
+            for u, v, code, load, store, s_prime in observed_edges(aprog):
+                if graph.add_edge(u, v, code, load, store, s_prime):
                     stats.observed_edges += 1
             for u, v, reason in self._extra_edges(aprog):
                 if graph.add_edge(u, v, reason):

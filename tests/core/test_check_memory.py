@@ -2,27 +2,30 @@
 
 At the paper's operating point (16 processors x 400 instructions on 16
 words) the analysis graph is most of what a check allocates.  These
-tests hold it to one edge index (``ConstraintGraph.reasons``), reasons
-that share their renderers and their static instances, and a
-tracemalloc peak that a per-node successor set would overshoot.  The
-``stream`` cases run a pipeline session through
-``tests.util.stream_check``.  A vc checker drops its per-check tables
-when ``run`` returns, so a checker run again holds one check's tables.
+tests hold it to one edge index (the adjacency lists), a columnar edge
+log that holds no per-edge reason object (reasons are built when read,
+sharing their renderers and their static instances), and a tracemalloc
+peak that a ``(u, v)`` reason dict would overshoot.  The ``stream``
+cases run a pipeline session through ``tests.util.stream_check``.  A vc
+checker drops its per-check tables when ``run`` returns, so a checker
+run again holds one check's tables.
 """
 
+import gc
 import tracemalloc
 
 import pytest
 
-from repro.core.checker import STATIC_REASONS
+from repro.core.reasons import STATIC_REASONS
+from repro.core.result import EdgeReason
 from repro.core.vc import VectorClockChecker
 from repro.model.expansion import AnalysisProgram, expand
 from tests.util import check_on, golden_run, paper_scale_run
 
 #: Bound on the tracemalloc peak of a vc check at paper seed 1, in MB.
-#: On Python 3.11 the peak is 18.2 MB with one edge index, and 22.5 MB
-#: with a successor set per node next to it.
-PEAK_MB = 19.5
+#: On Python 3.11 the peak is 9.94 MB with the edge log, and 18.2 MB
+#: with a ``(u, v)`` -> reason dict as the edge index.
+PEAK_MB = 10.9
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +48,18 @@ def test_paper_scale_check_peak(paper_aprog):
     graph = result.graph
     assert len(graph.reasons) == graph.edge_count == sum(map(len, graph.succ))
     assert graph.edge_count == sum(map(len, graph.pred))
+
+
+def _live_edge_reasons():
+    return sum(1 for obj in gc.get_objects() if obj.__class__ is EdgeReason)
+
+
+def test_passing_check_holds_no_edge_reason(paper_aprog):
+    before = _live_edge_reasons()
+    result = VectorClockChecker().run(paper_aprog)
+    assert result.ok
+    assert result.stats.edges > 40_000
+    assert _live_edge_reasons() == before
 
 
 @pytest.mark.parametrize("engine", ["baseline", "vc", "stream"])

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.api import check_litmus
 from repro.core.checker import BaselineChecker, observed_edges, po_prev_stores
+from repro.core.reasons import RULE_NAMES
 from repro.core.result import ViolationKind
 from repro.core.vc import VectorClockChecker
 from tests.util import litmus_aprog
@@ -17,7 +18,9 @@ ENGINES = [BaselineChecker, VectorClockChecker]
 
 def _rules_of(text):
     aprog = litmus_aprog(text)
-    return aprog, [(u, v, rule) for u, v, _r, rule in observed_edges(aprog)]
+    return aprog, [
+        (u, v, RULE_NAMES[code]) for u, v, code, *_ids in observed_edges(aprog)
+    ]
 
 
 class TestR4:

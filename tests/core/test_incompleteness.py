@@ -39,8 +39,8 @@ def _fixed_point_graph(aprog, model=TSO):
     graph = ConstraintGraph(aprog)
     for u, v, rule in static_edges(aprog, model):
         graph.add_edge(u, v, EdgeReason(rule))
-    for u, v, reason, _rule in observed_edges(aprog):
-        graph.add_edge(u, v, reason)
+    for u, v, *reason in observed_edges(aprog):
+        graph.add_edge(u, v, *reason)
     assert checker._fixed_point(aprog, graph, CheckStats(nodes=aprog.n)) is None
     return graph
 

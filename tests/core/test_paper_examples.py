@@ -47,7 +47,7 @@ class TestFig3:
     def test_observed_edges_match_paper_e4_to_e8(self):
         aprog = litmus_aprog(FIG3)
         ids = describe_map(aprog)
-        edges = {(u, v) for u, v, _r, _rule in observed_edges(aprog)}
+        edges = {(u, v) for u, v, *_reason in observed_edges(aprog)}
         s_a1 = ids["P0.1 S[A]#1"]
         s_a2 = ids["P1.0 S[A]#2"]
         s_b91 = ids["P0.0 S[B]#91"]
@@ -87,8 +87,8 @@ class TestFig6:
         graph = ConstraintGraph(aprog)
         for u, v, rule in static_edges(aprog, TSO):
             graph.add_edge(u, v, EdgeReason(rule))
-        for u, v, reason, _rule in observed_edges(aprog):
-            graph.add_edge(u, v, reason)
+        for u, v, *reason in observed_edges(aprog):
+            graph.add_edge(u, v, *reason)
         # SWAP <= LD (program order through the atomic group).
         assert graph.has_edge(swap_load, swap_store)
         assert graph.shortest_path(swap_store, ld) or graph.has_edge(swap_store, ld)

@@ -88,6 +88,9 @@ def test_every_emitted_check_metric_is_documented():
 def test_every_sim_pool_and_service_metric_is_documented():
     literals = _layer_metric_literals()
     # The scan must see each layer, or an empty scan would pass vacuously.
-    assert {"sim.runs", "pool.batch_size", "service.hunts"} <= literals
+    assert {
+        "sim.runs", "pool.batch_size", "pool.retry", "pool.hung",
+        "service.hunts",
+    } <= literals
     missing = sorted(literals - _documented_metrics())
     assert not missing, f"undocumented in docs/telemetry.md: {missing}"
