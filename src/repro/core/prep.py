@@ -3,11 +3,10 @@
 Every engine needs the same derived views of an
 :class:`~repro.model.expansion.AnalysisProgram` before its fixed point
 starts: the loads with their observed-store targets resolved (and the
-atomic-group endpoints candidate pruning must respect), the stores
-with their observer loads, and the per-node ``group_first`` table.
-Historically each engine rebuilt these independently — the baseline
-even re-resolved ``map_value`` every fixed-point pass.  This module is
-the single home for all of it.
+atomic-group endpoints candidate pruning must respect), and the stores
+with their observer loads.  Historically each engine rebuilt these
+independently — the baseline even re-resolved ``map_value`` every
+fixed-point pass.  This module is the single home for all of it.
 """
 
 from __future__ import annotations
@@ -86,12 +85,13 @@ class Chains:
 
     Every chain is a path of static edges, which is what makes a
     frontier entry exact: if chain member ``c[i]`` reaches ``v``, so
-    does every ``c[j]`` with ``j < i``.  The vc engine and the online checker keep
-    ``vec_to`` and ``vec_from`` rows with one entry per *column* chain
-    (:attr:`to_col`; -1: no column), and their R6/R7 candidate queries
-    search :attr:`addr_stores`.  Root stores are left out of both: a
-    root is a source of every acyclic graph, so no R6 interval or R7
-    scan can return one (see :mod:`repro.core.vc`).
+    does every ``c[j]`` with ``j < i``.  The vc engine and the online
+    checker keep ``vec_to`` and ``vec_from`` as one column per *column*
+    chain (:attr:`to_col`; -1: no column), each with one entry per node,
+    and their R6/R7 candidate queries search :attr:`addr_stores`.  Root
+    stores are left out of both: a root is a source of every acyclic
+    graph, so no R6 interval or R7 scan can return one (see
+    :mod:`repro.core.vc`).
 
     Built over a whole program, the columns are the chains holding a
     non-root store (:attr:`store_chains`).  A stream passes the keys of
@@ -170,22 +170,16 @@ class EnginePrep:
     """The shared pre-computed views every checker engine consumes.
 
     Attributes:
-        readers: store op id → loads that observed its value.
         loads: R6 work list (see :data:`LoadItem`); loads whose value
             maps to no store are excluded — the precheck has already
             recorded those as failures, so no engine needs to re-resolve
             ``map_value`` per pass.
         stores: R7 work list (see :data:`StoreItem`); stores nobody
             observed are excluded.
-        group_first: per-node atomic-group first member (the node
-            itself when ungrouped) — incoming redirected edges land
-            there.
     """
 
-    readers: Dict[int, List[int]]
     loads: List[LoadItem]
     stores: List[StoreItem]
-    group_first: List[int]
 
 
 def prepare(aprog: AnalysisProgram) -> EnginePrep:
@@ -208,7 +202,4 @@ def prepare(aprog: AnalysisProgram) -> EnginePrep:
         for op in aprog.ops
         if op.is_store and op.id in readers
     ]
-    group_first = [aprog.group_first(i) for i in range(aprog.n)]
-    return EnginePrep(
-        readers=readers, loads=loads, stores=stores, group_first=group_first
-    )
+    return EnginePrep(loads=loads, stores=stores)

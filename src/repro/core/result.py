@@ -263,6 +263,13 @@ class CheckStats:
     nodes: int = 0
     static_edges: int = 0
     observed_edges: int = 0
+    #: R6/R7 edges added.  On a failing vc check this leaves out the
+    #: edges of the pass that closed the cycle, the closing edge
+    #: included: vc counts a pass's edges when the pass completes, so
+    #: :attr:`edges` is then below the graph's ``edge_count`` (Fig. 3
+    #: and Fig. 7 count 12 edges and log 14).  Counting them would move
+    #: the ``core.edges`` counts perfbench pins for its campaign
+    #: workloads, so it waits for a re-pin of those counts.
     inferred_edges: int = 0
     iterations: int = 0
     seconds: float = 0.0

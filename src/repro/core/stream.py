@@ -5,8 +5,8 @@ analysis starts, so a violation in the first minute is reported only
 after the last.  Campaign pipeline mode (``CampaignConfig.pipeline``)
 instead checks each attempt while it runs, through
 :func:`stream_check_machine`.  The vc engine's core
-(:class:`repro.core.vc.FrontierCore`: frontier rows and their floods, a
-Pearce–Kelly online order, the R6/R7 scans) is already incremental, and
+(:class:`repro.core.vc.FrontierCore`: frontier columns and their floods,
+a Pearce–Kelly online order, the R6/R7 scans) is already incremental, and
 this module is a thin online driver over it:
 
 * a :class:`StreamSession` expands each fed record
@@ -19,15 +19,17 @@ this module is a thin online driver over it:
   :func:`repro.core.checker.load_edges`, an R6 item per load, an R7
   item per observed store;
 * a dirty-set drain rescans an item in full when the floods moved its
-  row (they record moved rows in a dict) or it is new or gained an
-  observer, and a new same-address store is tested on its own against
-  the observers of each R7 item whose store reaches its chain.  The
-  rules are monotone, so quiescence is the batch fixed point;
+  node's entries (they record moved nodes in a dict) or it is new or
+  gained an observer, and a new same-address store is tested on its
+  own against the observers of each R7 item whose store reaches its
+  chain.  The rules are monotone, so quiescence is the batch fixed
+  point;
 * a cycle is reported **at the op that closes it**, with the witness of
   :func:`repro.core.checker.cycle_violation`.
 
-Rows have vc's layout, with one column per chain that can hold a
-non-root store of a declared processor (under TSO, its store chain).
+The frontier tables have vc's column-major layout, with one column per
+chain that can hold a non-root store of a declared processor (under
+TSO, its store chain); each admitted op appends one entry per column.
 A session keeps the whole run, like the batch engines, and its graph
 has the vc engine's closure (``tests/core/test_stream.py``).
 """
@@ -82,13 +84,13 @@ class _StreamState(FrontierCore):
             for pid in range(aprog.nprocs)
             for addr in aprog.roots
         })
-        self._width = len(self._chains.store_chains)
+        width = len(self._chains.store_chains)
         self._inf = _INF
-        self._vec_to: List[List[int]] = []
-        self._vec_from: List[List[int]] = []
+        self._vec_to: List[List[int]] = [[] for _ in range(width)]
+        self._vec_from: List[List[int]] = [[] for _ in range(width)]
         self._ord: List[int] = []
         self._seq = 0
-        #: Nodes whose row a flood improved since the last drain.
+        #: Nodes whose entries a flood improved since the last drain.
         self._moved_to: Dict[int, int] = {}
         self._moved_from: Dict[int, int] = {}
         self._procs = [ProgramOrder(model) for _ in range(aprog.nprocs)]
@@ -96,7 +98,7 @@ class _StreamState(FrontierCore):
         self._pending: Dict[Tuple[int, int], List[int]] = {}
         #: R5 ``S'`` captured at admit time, per load.
         self._r5_prev: Dict[int, int] = {}
-        #: R6 items: load -> (addr, target, the target group's entry row).
+        #: R6 items: load -> (addr, target, the target group's entry node).
         self._r6_items: Dict[int, Tuple[int, int, List[int]]] = {}
         #: R7 items: store -> (addr, [(load, load_last), ...]).
         self._r7_items: Dict[int, Tuple[int, List[Tuple[int, int]]]] = {}
@@ -119,17 +121,19 @@ class _StreamState(FrontierCore):
         return None
 
     def _add_node(self, op) -> None:
-        """Chain position, fresh rows and an order index for ``op``."""
+        """Chain position, fresh frontier entries and an order index for
+        ``op``."""
         node = op.id
         chains = self._chains
         chains.add(op)
-        vec_to = [-1] * self._width
-        vec_from = [_INF] * self._width
+        for column in self._vec_to:
+            column.append(-1)
+        for column in self._vec_from:
+            column.append(_INF)
         col = chains.to_col[chains.chain_of[node]]
         if col >= 0:
-            vec_to[col] = vec_from[col] = chains.pos_of[node]
-        self._vec_to.append(vec_to)
-        self._vec_from.append(vec_from)
+            pos = chains.pos_of[node]
+            self._vec_to[col][node] = self._vec_from[col][node] = pos
         self._ord.append(len(self._ord))
         self._stats.live_peak = len(self._ord)
 
@@ -169,18 +173,17 @@ class _StreamState(FrontierCore):
         already reaches its chain (the chain is a path ending at it),
         with no frontier moving: test it against those items' observers
         here.  An item whose store comes to reach the chain later is
-        rescanned when its row moves.  (R6 needs no such trigger: the
+        rescanned when its entries move.  (R6 needs no such trigger: the
         new position is above every existing vec_to entry, so no
         interval covers it.)
         """
         chains = self._chains
-        col = chains.to_col[chains.chain_of[store]]
+        column = self._vec_from[chains.to_col[chains.chain_of[store]]]
         pos = chains.pos_of[store]
-        vec_from = self._vec_from
         for item in self._r7_by_addr.get(addr, ()):
-            if vec_from[item][col] < _INF:
+            if column[item] < _INF:
                 for load, load_last in self._r7_items[item][1]:
-                    if vec_from[load_last][col] > pos and self._add_edge(
+                    if column[load_last] > pos and self._add_edge(
                         load, store, R7, load, item, store
                     ):
                         self._stats.inferred_edges += 1
@@ -215,8 +218,7 @@ class _StreamState(FrontierCore):
             if self._add_edge(u, v, code, a, b, c):
                 self._stats.observed_edges += 1
         addr = aprog.ops[load].addr
-        floor = self._vec_to[aprog.group_first(target)]
-        self._r6_items[load] = (addr, target, floor)
+        self._r6_items[load] = (addr, target, aprog.group_first(target))
         self._dirty_r6.add(load)
         item = self._r7_items.get(target)
         if item is None:
@@ -228,9 +230,10 @@ class _StreamState(FrontierCore):
     def _drain(self) -> None:
         """Rescan dirty R6/R7 items until none is left.
 
-        Every way a candidate set can grow dirties its item (a moved
-        row, a new item or observer, a new same-address store), and the
-        rules are monotone, so quiescence here is the batch fixed point.
+        Every way a candidate set can grow dirties its item (moved
+        entries, a new item or observer, a new same-address store), and
+        the rules are monotone, so quiescence here is the batch fixed
+        point.
         """
         r6_items, r7_items = self._r6_items, self._r7_items
         dirty_r6, dirty_r7 = self._dirty_r6, self._dirty_r7
@@ -248,9 +251,7 @@ class _StreamState(FrontierCore):
             while dirty_r6:
                 load = dirty_r6.pop()
                 addr, target, floor = r6_items[load]
-                candidates = self._r6_interval(
-                    addr, self._vec_to[load], floor, target
-                )
+                candidates = self._r6_interval(addr, load, floor, target)
                 stats.inferred_edges += self._apply_r6(load, target, candidates)
             while dirty_r7:
                 store = dirty_r7.pop()

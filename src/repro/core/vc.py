@@ -47,22 +47,25 @@ pass, as the baseline's traversals do) pays for repeatedly:
   reaches through its ``init`` edges), and the engine raises on the
   first cycle, so a root reaches every R6 target's group entry (empty
   interval) and is reached from no R7 store but itself.
-  Both ``vec_to`` and ``vec_from`` rows therefore carry one column per
-  chain holding a non-root store
-  (:attr:`repro.core.prep.Chains.to_col`) — under TSO not the
-  load/membar chains, under any model not the root singletons — and
-  the floods never touch the rest.  The R7 observer test asks whether
-  the observer's group exit reaches the candidate ``s'`` itself rather
-  than its group entry: for an observer outside ``s'``'s atomic group
-  the two agree (every external edge into a group lands on its first
-  node, and the group is internally chained), and an observer inside
-  it — a swap whose own store half is the candidate — never reaches
-  the group entry, so it is explicitly never "implied".
-* **Rescans follow moved frontiers.**  Each insertion stamps the rows
-  it improves; a fixed-point pass rescans an R6 item only if its load's
-  ``vec_to`` moved since the item's last scan (an R7 item: its store's
-  ``vec_from``).  A skipped item could only re-propose existing edges,
-  so the edges, their order and the iteration count are unchanged.
+  Both ``vec_to`` and ``vec_from`` therefore keep one column per chain
+  holding a non-root store (:attr:`repro.core.prep.Chains.to_col`) —
+  under TSO not the load/membar chains, under any model not the root
+  singletons — and the floods never touch the rest.  A column is one
+  list with an entry per node, the per-chain vector of Roy et al.: a
+  flood walks one column, and no node carries a list of its own.  The
+  R7 observer test asks whether the observer's group exit reaches the
+  candidate ``s'`` itself rather than its group entry: for an observer
+  outside ``s'``'s atomic group the two agree (every external edge
+  into a group lands on its first node, and the group is internally
+  chained), and an observer inside it — a swap whose own store half is
+  the candidate — never reaches the group entry, so it is explicitly
+  never "implied".
+* **Rescans follow moved frontiers.**  Each insertion stamps the nodes
+  whose entries it improves; a fixed-point pass rescans an R6 item only
+  if its load's ``vec_to`` moved since the item's last scan (an R7
+  item: its store's ``vec_from``).  A skipped item could only
+  re-propose existing edges, so the edges, their order and the
+  iteration count are unchanged.
 * **R7 chain scans stop at the first implied successor.**  An R7
   item's candidates on one chain come in ascending position.  Once
   every observer's test says "implied" for a candidate, it says so for
@@ -100,7 +103,7 @@ from __future__ import annotations
 import gc
 import time
 from bisect import bisect_left, bisect_right
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 from repro import telemetry
 from repro.core.checker import cycle_violation, observed_edges, precheck_violation
@@ -121,10 +124,11 @@ class FrontierCore:
 
     An engine sets these before its first insertion: ``_graph``,
     ``_stats``, ``_chains``, ``_ord`` (order index per node),
-    ``_vec_to``/``_vec_from`` (one row per node, one entry per column
-    chain), ``_moved_to``/``_moved_from`` (written ``[node] = _seq``
-    for every row a flood improves: a stamp list in vc, a dict of moved
-    nodes in stream), ``_seq`` and ``_inf`` (the "unreached" entry).
+    ``_vec_to``/``_vec_from`` (one column per column chain, one entry
+    per node: ``_vec_to[col][node]``), ``_moved_to``/``_moved_from``
+    (written ``[node] = _seq`` for every node whose entry a flood
+    improves: a stamp list in vc, a dict of moved nodes in stream),
+    ``_seq`` and ``_inf`` (the "unreached" entry).
     """
 
     def _add_edge(
@@ -210,53 +214,45 @@ class FrontierCore:
         Each (projected) entry of ``u`` that improves ``v`` floods on
         its own, with its column and position held in locals and a
         stack of child lists, so a child costs one integer compare.
-        Improved rows are stamped.  Columns flood highest first, each
-        depth-first, which fixes the order in which rows are first
-        stamped: the online checker drains its moved rows in that order.
+        Improved nodes are stamped.  Columns flood highest first, each
+        depth-first, which fixes the order in which nodes are first
+        stamped: the online checker drains its moved nodes in that order.
         """
-        vec_to = self._vec_to
         moved = self._moved_to
         seq = self._seq
         succ = self._graph.succ
-        src = vec_to[u]
-        vec = vec_to[v]
-        for col in range(len(vec) - 1, -1, -1):
-            pos = src[col]
-            if pos <= vec[col]:
+        for column in reversed(self._vec_to):
+            pos = column[u]
+            if pos <= column[v]:
                 continue
-            vec[col] = pos
+            column[v] = pos
             moved[v] = seq
-            # v is not its own descendant, so no flood touches its row.
+            # v is not its own descendant, so no flood touches its entry.
             stack = [succ[v]]
             while stack:
                 for child in stack.pop():
-                    row = vec_to[child]
-                    if pos > row[col]:
-                        row[col] = pos
+                    if pos > column[child]:
+                        column[child] = pos
                         moved[child] = seq
                         stack.append(succ[child])
 
     def _push_backward(self, u: int, v: int) -> None:
         """Propagate ``v``'s forward frontier into ``u``'s ancestors
         (the mirror of :meth:`_push_forward`)."""
-        vec_from = self._vec_from
         moved = self._moved_from
         seq = self._seq
         pred = self._graph.pred
-        src = vec_from[v]
-        vec = vec_from[u]
-        for col in range(len(vec) - 1, -1, -1):
-            pos = src[col]
-            if pos >= vec[col]:
+        for column in reversed(self._vec_from):
+            pos = column[v]
+            if pos >= column[u]:
                 continue
-            vec[col] = pos
+            column[u] = pos
             moved[u] = seq
             stack = [pred[u]]
             while stack:
                 for parent in stack.pop():
-                    row = vec_from[parent]
-                    if pos < row[col]:
-                        row[col] = pos
+                    if pos < column[parent]:
+                        column[parent] = pos
                         moved[parent] = seq
                         stack.append(pred[parent])
 
@@ -265,25 +261,23 @@ class FrontierCore:
     # ------------------------------------------------------------------
 
     def _r6_interval(
-        self,
-        addr: int,
-        vt_load: Sequence[int],
-        vt_floor: Sequence[int],
-        target: int,
+        self, addr: int, load: int, floor: int, target: int
     ) -> List[int]:
-        """Same-address stores, but ``target``, that reach the load
-        (``vt_load``) and not yet the observed store (``vt_floor``, the
-        row of its group entry point): per chain, the positions in
-        ``(vt_floor[col], vt_load[col]]``."""
+        """Same-address stores, but ``target``, that reach ``load`` and
+        not yet the observed store (through ``floor``, its group entry
+        point): per chain, the positions in
+        ``(column[floor], column[load]]`` of the chain's ``vec_to``
+        column."""
         out: List[int] = []
         chains = self._chains
         to_col = chains.to_col
+        vec_to = self._vec_to
         queries = 0
         for chain, positions in chains.addr_stores.get(addr, ()):
             queries += 1
-            col = to_col[chain]
-            lo = vt_floor[col]
-            hi = vt_load[col]
+            column = vec_to[to_col[chain]]
+            lo = column[floor]
+            hi = column[load]
             if hi <= lo:
                 continue
             members = chains.nodes[chain]
@@ -319,9 +313,9 @@ class FrontierCore:
         inf = self._inf
         vec_from = self._vec_from
         add_edge = self._add_edge
-        # Bounded by vec_from[store] as it stood when the scan began
-        # (insertions below may lower it).
-        vf = vec_from[store][:]
+        # Bounded by the store's entries as they stood when the scan
+        # began (insertions below may lower them).
+        vf = [column[store] for column in vec_from]
         added = 0
         queries = 0
         for chain, positions in chains.addr_stores.get(addr, ()):
@@ -330,6 +324,7 @@ class FrontierCore:
             lo = vf[col]
             if lo >= inf:
                 continue
+            column = vec_from[col]
             members = chain_nodes[chain]
             for pos in positions[bisect_left(positions, lo):]:
                 s_prime = members[pos]
@@ -342,7 +337,7 @@ class FrontierCore:
                     # group exit reaches s' — unless it *is* s' (a swap
                     # observing ``store`` whose own store half is the
                     # candidate), which never reaches its group entry.
-                    if vec_from[load_last][col] <= pos and load_last != s_prime:
+                    if column[load_last] <= pos and load_last != s_prime:
                         continue
                     implied = False
                     if add_edge(load, s_prime, R7, load, store, s_prime):
@@ -472,14 +467,14 @@ class VectorClockChecker(FrontierCore):
     def _init_state(self, graph: ConstraintGraph, order: List[int]) -> None:
         """Build frontiers and the topological order in one DP pass.
 
-        ``vec_to[v][to_col[c]]`` is the highest position in chain ``c``
+        ``vec_to[to_col[c]][v]`` is the highest position in chain ``c``
         whose member reaches ``v`` (-1: none), and
-        ``vec_from[v][to_col[c]]`` the lowest position in chain ``c``
+        ``vec_from[to_col[c]][v]`` the lowest position in chain ``c``
         reachable from ``v`` (``_inf``: none), both kept only for the
         chains holding a non-root store.  Both include ``v`` itself,
         as :func:`repro.core.graph.compute_closure`'s reach bitsets do.
-        ``_moved_to``/``_moved_from`` stamp each row with the ``_seq``
-        of the last insertion that improved it.
+        ``_moved_to``/``_moved_from`` stamp each node with the ``_seq``
+        of the last insertion that improved one of its entries.
         """
         n = graph.n
         chains = self._chains
@@ -536,5 +531,4 @@ class VectorClockChecker(FrontierCore):
     ) -> List[int]:
         """Same-address store predecessors of ``load`` not already
         ordered before the observed store's group entry point."""
-        vec_to = self._vec_to
-        return self._r6_interval(addr, vec_to[load], vec_to[target_first], target)
+        return self._r6_interval(addr, load, target_first, target)

@@ -88,7 +88,7 @@ ROOT_PROC = -1
 NO_GROUP = -1
 
 
-@dataclass
+@dataclass(slots=True)
 class AnalysisOp:
     """One word-sized node of the analysis graph.
 
@@ -100,8 +100,6 @@ class AnalysisOp:
         addr: word address (``None`` for membars).
         value: value read (loads) or written (stores); ``None`` for membars.
         group: atomic group id, or ``NO_GROUP``.
-        origin: ``(proc, record_index)`` of the dynamic record this op was
-            expanded from, for debug rendering; ``None`` for roots.
     """
 
     id: int
@@ -111,7 +109,6 @@ class AnalysisOp:
     addr: Optional[int]
     value: Optional[int]
     group: int = NO_GROUP
-    origin: Optional[Tuple[int, int]] = None
 
     @property
     def is_load(self) -> bool:
@@ -327,7 +324,6 @@ class _Builder:
         addr: Optional[int],
         value: Optional[int],
         group: int,
-        origin: Tuple[int, int],
     ) -> AnalysisOp:
         op = AnalysisOp(
             id=len(self._ops),
@@ -337,7 +333,6 @@ class _Builder:
             addr=addr,
             value=value,
             group=group,
-            origin=origin,
         )
         self._ops.append(op)
         self._per_proc[pid].append(op.id)
@@ -366,7 +361,6 @@ class _Builder:
 
     def _expand_record(self, pid: int, rec_idx: int, rec: DynRecord) -> None:
         instr = rec.instr
-        origin = (pid, rec_idx)
 
         if isinstance(
             instr, (IPrefetch, IFlushCache, IFlushPipe, IBranch, IInterrupt)
@@ -390,37 +384,30 @@ class _Builder:
             loaded = self._words_of(rec, "loaded")
             group = self._new_group() if len(loaded) > 1 else NO_GROUP
             for w, value in enumerate(loaded):
-                self._emit(
-                    pid, OpKind.LOAD, instr.addr + w * WORD_SIZE, value, group,
-                    origin,
-                )
+                self._emit(pid, OpKind.LOAD, instr.addr + w * WORD_SIZE, value, group)
             return
 
         if isinstance(instr, IStore):
             stored = self._words_of(rec, "stored")
             group = self._new_group() if len(stored) > 1 else NO_GROUP
             for w, value in enumerate(stored):
-                self._emit(
-                    pid, OpKind.STORE, instr.addr + w * WORD_SIZE, value, group,
-                    origin,
-                )
+                self._emit(pid, OpKind.STORE, instr.addr + w * WORD_SIZE, value, group)
             return
 
         if isinstance(instr, ISwap):
-            self._emit_atomic(pid, origin, rec)
+            self._emit_atomic(pid, rec)
             return
 
         if isinstance(instr, ICas):
             if rec.cas_ok:
-                self._emit_atomic(pid, origin, rec)
+                self._emit_atomic(pid, rec)
             else:
                 # Failed compare: the CAS degenerates to a plain load.
                 loaded = self._words_of(rec, "loaded")
                 group = self._new_group() if len(loaded) > 1 else NO_GROUP
                 for w, value in enumerate(loaded):
                     self._emit(
-                        pid, OpKind.LOAD, instr.addr + w * WORD_SIZE, value, group,
-                        origin,
+                        pid, OpKind.LOAD, instr.addr + w * WORD_SIZE, value, group
                     )
             return
 
@@ -430,8 +417,7 @@ class _Builder:
                 group = self._new_group()
                 for w in (chunk, chunk + 1):
                     self._emit(
-                        pid, OpKind.LOAD, instr.addr + w * WORD_SIZE, loaded[w],
-                        group, origin,
+                        pid, OpKind.LOAD, instr.addr + w * WORD_SIZE, loaded[w], group
                     )
             return
 
@@ -441,31 +427,26 @@ class _Builder:
                 group = self._new_group()
                 for w in (chunk, chunk + 1):
                     self._emit(
-                        pid, OpKind.STORE, instr.addr + w * WORD_SIZE, stored[w],
-                        group, origin,
+                        pid, OpKind.STORE, instr.addr + w * WORD_SIZE, stored[w], group
                     )
             return
 
         if isinstance(instr, IMembar):
-            self._emit(pid, OpKind.MEMBAR, None, None, NO_GROUP, origin)
+            self._emit(pid, OpKind.MEMBAR, None, None, NO_GROUP)
             return
 
         raise ExpansionError(f"cannot expand instruction {instr!r}")
 
-    def _emit_atomic(
-        self, pid: int, origin: Tuple[int, int], rec: DynRecord
-    ) -> None:
+    def _emit_atomic(self, pid: int, rec: DynRecord) -> None:
         """Emit an atomic [loads; stores] group for a swap or successful CAS."""
         instr = rec.instr
         loaded = self._words_of(rec, "loaded")
         stored = self._words_of(rec, "stored")
         group = self._new_group()
         for w, value in enumerate(loaded):
-            self._emit(pid, OpKind.LOAD, instr.addr + w * WORD_SIZE, value, group,
-                       origin)
+            self._emit(pid, OpKind.LOAD, instr.addr + w * WORD_SIZE, value, group)
         for w, value in enumerate(stored):
-            self._emit(pid, OpKind.STORE, instr.addr + w * WORD_SIZE, value, group,
-                       origin)
+            self._emit(pid, OpKind.STORE, instr.addr + w * WORD_SIZE, value, group)
 
     def _check_load_values(self, aprog: AnalysisProgram) -> None:
         """Flag loads whose value was never written to their address."""

@@ -66,7 +66,7 @@ def _check_access(addr: int, size: int, allowed: Tuple[int, ...]) -> None:
         raise ValueError(f"address {addr:#x} is not aligned to size {size}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instr:
     """Base class for all generated instructions.
 
@@ -83,7 +83,7 @@ class Instr:
         return type(self).__name__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ILoad(Instr):
     """A plain load of ``size`` bytes from word-aligned ``addr``.
 
@@ -109,7 +109,7 @@ class ILoad(Instr):
         return f"LD{self.size * 8}  [{self.addr:#x}]{asi}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IStore(Instr):
     """A plain store of ``size`` bytes to word-aligned ``addr``.
 
@@ -135,7 +135,7 @@ class IStore(Instr):
         return f"ST{self.size * 8}  [{self.addr:#x}]{asi}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ISwap(Instr):
     """An atomic swap: read the old value and write a fresh counter value.
 
@@ -156,7 +156,7 @@ class ISwap(Instr):
         return f"SWAP{self.size * 8} [{self.addr:#x}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ICas(Instr):
     """A compare-and-swap whose compare value comes from a prior load.
 
@@ -186,7 +186,7 @@ class ICas(Instr):
         return f"CAS{self.size * 8}  [{self.addr:#x}] cmp@{self.compare_from}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IMembar(Instr):
     """A full memory barrier.
 
@@ -198,7 +198,7 @@ class IMembar(Instr):
         return "MEMBAR"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IBlockLoad(Instr):
     """A 64-byte block load (SPARC VIS ``ldda``-style).
 
@@ -219,7 +219,7 @@ class IBlockLoad(Instr):
         return f"BLD   [{self.addr:#x}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IBlockStore(Instr):
     """A 64-byte block store (SPARC VIS ``stda``-style), counter-sourced."""
 
@@ -236,7 +236,7 @@ class IBlockStore(Instr):
         return f"BST   [{self.addr:#x}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IPrefetch(Instr):
     """A prefetch hint; no programmer-visible effect (dropped in analysis).
 
@@ -258,7 +258,7 @@ class IPrefetch(Instr):
         return f"PREF  [{self.addr:#x}] {self.variant.value},{kind}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class INonFaultingLoad(Instr):
     """A non-faulting load (SPARC ASI_PRIMARY_NOFAULT style).
 
@@ -282,7 +282,7 @@ class INonFaultingLoad(Instr):
         return f"NFLD{self.size * 8} [{self.addr:#x}] {tag}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IFlushCache(Instr):
     """Flush the cache line containing ``addr``; no visible data effect."""
 
@@ -296,7 +296,7 @@ class IFlushCache(Instr):
         return f"FLUSH [{self.addr:#x}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IFlushPipe(Instr):
     """Flush the execution pipeline; no visible data effect."""
 
@@ -304,7 +304,7 @@ class IFlushPipe(Instr):
         return "FLUSHW"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IInterrupt(Instr):
     """Send an inter-processor interrupt to ``target`` (Sec. 3.1).
 
@@ -324,7 +324,7 @@ class IInterrupt(Instr):
         return f"IPI   ->P{self.target}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IBranch(Instr):
     """An unpredictable conditional branch over the next ``skip`` instructions.
 

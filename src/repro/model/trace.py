@@ -38,7 +38,7 @@ from repro.model.ops import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DynRecord:
     """The dynamic outcome of one executed instruction.
 

@@ -15,11 +15,12 @@ mechanisms that make the engine correct on their own:
   topological order under adversarial back-edge insertions, and a
   cycle-closing edge raises with the edge recorded for the witness).
 
-A last class pins the fixed point's shortcuts — projected frontier
-rows without root chains, the R7 observer test on the candidate itself,
-moved-frontier rescans, the R7 chain-scan cut and the per-entry flood —
-to the plain formulation they speed up: the same edges in the same
-order, the same iterations and the same witnesses.
+A last class pins the fixed point's shortcuts — projected,
+column-major frontier tables without root chains, the R7 observer test
+on the candidate itself, moved-frontier rescans, the R7 chain-scan cut
+and the per-entry flood — to the plain formulation they speed up (one
+full-width row per node): the same edges in the same order, the same
+iterations and the same witnesses.
 """
 
 import pytest
@@ -92,10 +93,12 @@ def _assert_frontiers_exact(checker, graph):
     graph as it stands now, entry by entry on every kept column."""
     reach_from = _reach_from(graph)
     chains = checker._chains
+    cols_to, cols_from = checker._vec_to, checker._vec_from
+    assert len(cols_to) == len(cols_from) == len(chains.store_chains)
+    assert {len(column) for column in cols_to + cols_from} == {graph.n}
     for v in range(graph.n):
-        row_to = checker._vec_to[v]
-        row_from = checker._vec_from[v]
-        assert len(row_to) == len(row_from) == len(chains.store_chains), v
+        row_to = [column[v] for column in cols_to]
+        row_from = [column[v] for column in cols_from]
         for col, chain in enumerate(chains.store_chains):
             members = list(enumerate(chains.nodes[chain]))
             expected_to = max(
@@ -183,8 +186,10 @@ class TestFrontiers:
             if op.is_store and not op.is_root
         })
         assert chains.store_chains == store_bearing
-        assert {len(row) for row in checker._vec_to} == {len(store_bearing)}
-        assert {len(row) for row in checker._vec_from} == {len(store_bearing)}
+        assert len(checker._vec_to) == len(store_bearing)
+        assert len(checker._vec_from) == len(store_bearing)
+        assert {len(column) for column in checker._vec_to} == {aprog.n}
+        assert {len(column) for column in checker._vec_from} == {aprog.n}
         root_chains = {chains.chain_of[root] for root in aprog.roots.values()}
         assert root_chains.isdisjoint(store_bearing)
         if model is SC:
@@ -402,7 +407,7 @@ class _RescanAll(VectorClockChecker):
                         added += 1
             for store, addr, observers in prep.stores:
                 for s_prime in self._r7_candidates(addr, store):
-                    first = prep.group_first[s_prime]
+                    first = aprog.group_first(s_prime)
                     for load, load_last in observers:
                         self.r7_tests += 1
                         if self._reaches(load_last, first):

@@ -5,7 +5,8 @@ retired: the engine table in ``docs/engines.md`` must list exactly the
 registered engines, and ``docs/telemetry.md`` must name every ``check.*``
 metric that :func:`repro.telemetry.record_check` emits and every
 ``sim.*``, ``pool.*`` and ``service.*`` metric name the code passes to a
-telemetry call.
+telemetry call.  The Python floor drifts too: ``pyproject.toml``, the
+README and the lowest Python the CI test job runs must agree.
 """
 
 import dataclasses
@@ -94,3 +95,30 @@ def test_every_sim_pool_and_service_metric_is_documented():
     } <= literals
     missing = sorted(literals - _documented_metrics())
     assert not missing, f"undocumented in docs/telemetry.md: {missing}"
+
+
+def _ci_test_pythons():
+    """The ``python-version`` matrix of the ``tests`` job in the CI
+    workflow, as ``(major, minor)`` pairs (read with a pattern: the
+    test environment has no YAML parser)."""
+    text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    job = re.search(r"^  tests:\n(.*?)(?=^  \S)", text, re.MULTILINE | re.DOTALL)
+    assert job, "no tests job in ci.yml"
+    matrix = re.search(r"python-version: \[([^\]]*)\]", job.group(1))
+    assert matrix, "the tests job has no python-version matrix"
+    return [
+        tuple(map(int, version))
+        for version in re.findall(r'"(\d+)\.(\d+)"', matrix.group(1))
+    ]
+
+
+def test_python_floor_matches_ci_and_readme():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    readme = (ROOT / "README.md").read_text()
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject,
+                      re.MULTILINE)
+    stated = re.findall(r"Python >= (\d+)\.(\d+)", readme)
+    assert floor and stated
+    floor = tuple(map(int, floor.groups()))
+    assert {tuple(map(int, version)) for version in stated} == {floor}
+    assert min(_ci_test_pythons()) == floor
